@@ -47,7 +47,7 @@ def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
     ket = as_ket(phi)
     d = ket.shape[0]
     norm = float(np.linalg.norm(ket))
-    if abs(norm - 1.0) > 1e-10:
+    if not (abs(norm - 1.0) <= 1e-10):
         raise InvalidInputError(f"fiducial must be normalized, got ||ket|| = {norm:.12g}")
     drop = int(np.argmax(np.abs(ket)))
     rows = [ket.conj()]

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CatalogMissError, InvalidInputError
-from .wh import DEFAULT_TOL, PHYSICAL_TOL, displacement, max_abs, require_unitary
+from .errors import CatalogMissError, InvalidDimensionError, InvalidInputError
+from .wh import DEFAULT_TOL, PHYSICAL_TOL, _phases, max_abs, require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,11 +19,11 @@ class Fiducial:
     label: str = ""
 
     def __post_init__(self):
-        ket = np.asarray(self.ket, dtype=complex).reshape(-1)
+        ket = as_ket(self.ket)
         if ket.shape[0] != self.dim:
             raise InvalidInputError(f"ket has length {ket.shape[0]}, expected {self.dim}")
         norm = float(np.linalg.norm(ket))
-        if abs(norm - 1.0) > PHYSICAL_TOL:
+        if not (abs(norm - 1.0) <= PHYSICAL_TOL):
             raise InvalidInputError(f"fiducial must be normalized, got ||ket|| = {norm:.12g}")
         object.__setattr__(self, "ket", ket)
 
@@ -49,9 +49,23 @@ class WHFrame:
 
 
 def as_ket(phi: Fiducial | np.ndarray) -> np.ndarray:
+    """The ket of a Fiducial, or an array flattened to a complex vector.
+
+    Raises InvalidInputError on NaN or Inf entries.
+    """
     if isinstance(phi, Fiducial):
         return phi.ket
-    return np.asarray(phi, dtype=complex).reshape(-1)
+    ket = np.asarray(phi, dtype=complex).reshape(-1)
+    if not np.isfinite(ket).all():
+        raise InvalidInputError("ket has non-finite entries (NaN or Inf)")
+    return ket
+
+
+def _orbit_ket(phi: Fiducial | np.ndarray) -> np.ndarray:
+    ket = as_ket(phi)
+    if ket.shape[0] < 2:
+        raise InvalidDimensionError(f"WH orbits need d >= 2, got {ket.shape[0]}")
+    return ket
 
 
 def _qubit_sic_ket() -> np.ndarray:
@@ -92,22 +106,56 @@ def builtin_fiducial(d: int, label: str) -> Fiducial:
 
 
 def wh_orbit(phi: Fiducial | np.ndarray) -> WHFrame:
-    """All d^2 orbit vectors D(j,k)|phi> in (j, k) order."""
-    ket = as_ket(phi)
+    """All d^2 orbit vectors D(j,k)|phi> in (j, k) order.
+
+    Closed form by index arithmetic: (D(j,k) phi)_m = w^{k(m-j)} phi_{m-j}.
+    """
+    ket = _orbit_ket(phi)
     d = ket.shape[0]
-    vecs = np.zeros((d * d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            vecs[j * d + k] = displacement(d, j, k) @ ket
-    return WHFrame(dim=d, vectors=vecs)
+    ell = (np.arange(d) - np.arange(d)[:, None]) % d  # ell[j, m] = m - j
+    phases = _phases(np.outer(np.arange(d), np.arange(d)), d)  # phases[k, l] = w^{kl}
+    vecs = phases[:, ell].transpose(1, 0, 2) * ket[ell][:, None, :]
+    return WHFrame(dim=d, vectors=vecs.reshape(d * d, d))
+
+
+def characteristic(phi: Fiducial | np.ndarray) -> np.ndarray:
+    """chi[j, k] = <phi| D(j,k) |phi>, computed as d FFTs of conj(phi_{l+j}) phi_l.
+
+    The frame Gram of the orbit is tr(E_a E_b) = |chi(b - a)|^2 / d^2, a
+    convolution over Z_d x Z_d, so chi decides everything the Gram does.
+    """
+    ket = _orbit_ket(phi)
+    d = ket.shape[0]
+    shifted = ket[(np.arange(d)[:, None] + np.arange(d)) % d]  # shifted[j, l] = phi_{l+j}
+    return d * np.fft.ifft(shifted.conj() * ket, axis=1)
+
+
+def gram_spectrum(chi: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the d^2 x d^2 frame Gram, as the 2-D DFT of |chi|^2 / d^2.
+
+    Entry [p, q] is the eigenvalue of the Fourier mode (p, q); the Gram is
+    real symmetric, so the imaginary part is rounding and is dropped.
+    """
+    d = chi.shape[0]
+    return np.fft.fft2(np.abs(chi) ** 2 / d**2).real
+
+
+def gram_rank(spectrum: np.ndarray) -> int:
+    """Rank of the frame Gram by np.linalg.matrix_rank's rule, tol = lam_max * d^2 * eps."""
+    mags = np.abs(spectrum)
+    tol = mags.max() * mags.size * np.finfo(float).eps
+    return int(np.count_nonzero(mags > tol))
 
 
 @dataclass(frozen=True)
 class ICResult:
     """Outcome of an informational-completeness check.
 
-    The Gram-rank criterion is authoritative; the minimum displacement overlap
-    and its index are reported as the witness.
+    The Gram-rank criterion is authoritative.  The witness is the first
+    (j, k) in row-major order whose overlap |<phi| D(j,k) |phi>| lies within
+    DEFAULT_TOL of the minimum overlap, so rounding noise cannot move it
+    between indices whose overlaps are equal in exact arithmetic (a SIC has
+    d^2 - 1 of them, and |chi(a)| = |chi(-a)| always).
     """
 
     is_ic: bool
@@ -123,23 +171,16 @@ class ICResult:
 def is_informationally_complete(phi: Fiducial | np.ndarray, tol: float = PHYSICAL_TOL) -> ICResult:
     """Check whether the WH orbit of phi spans operator space.
 
-    Scans |<phi| D(j,k)^dag |phi>| over all (j, k) in row-major order; the
-    first minimizer is the witness.  The rank of the d^2 x d^2 Gram matrix of
-    the measurement operators decides the result.
+    The overlaps are |chi(j, k)|; the Gram rank comes from its spectrum, the
+    2-D DFT of |chi|^2 / d^2.  IC needs full rank d^2 and a witness overlap
+    above tol.
     """
-    ket = as_ket(phi)
-    d = ket.shape[0]
-    overlaps = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            overlaps[j, k] = abs(np.vdot(displacement(d, j, k) @ ket, ket))
-    flat_arg = int(np.argmin(overlaps))
+    chi = characteristic(phi)
+    d = chi.shape[0]
+    overlaps = np.abs(chi)
+    flat_arg = int(np.flatnonzero(overlaps <= overlaps.min() + DEFAULT_TOL)[0])
     witness = (flat_arg // d, flat_arg % d)
-
-    frame = wh_orbit(ket)
-    flat = np.array([e.reshape(-1) for e in frame.elements()])
-    gram = (flat.conj() @ flat.T).real
-    rank = int(np.linalg.matrix_rank(gram))
+    rank = gram_rank(gram_spectrum(chi))
     return ICResult(
         is_ic=bool(rank == d * d and overlaps[witness] > tol),
         witness_index=witness,
@@ -154,12 +195,14 @@ def sic_report(phi: Fiducial | np.ndarray) -> float:
 
     A fiducial generates a SIC exactly when every |<phi_jk|phi_j'k'>|^2 equals
     (d*delta + 1)/(d + 1); the returned number is the max-norm violation.
+    Those overlaps are |chi(a)|^2 over the d^2 differences a, so the check
+    runs over chi alone.
     """
-    ket = as_ket(phi)
-    d = ket.shape[0]
-    gram2 = np.abs(wh_orbit(ket).gram()) ** 2
-    target = (d * np.eye(d * d) + 1.0) / (d + 1.0)
-    return max_abs(gram2 - target)
+    chi = characteristic(phi)
+    d = chi.shape[0]
+    target = np.full((d, d), 1.0 / (d + 1.0))
+    target[0, 0] = 1.0
+    return max_abs(np.abs(chi) ** 2 - target)
 
 
 def compound_sic_report(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[float]:

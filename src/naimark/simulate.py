@@ -12,7 +12,7 @@ from .errors import (
     NumericalFailureError,
     RankDeficientFrameError,
 )
-from .fiducials import Fiducial, as_ket, wh_orbit
+from .fiducials import Fiducial, as_ket, characteristic, gram_rank, gram_spectrum, wh_orbit
 from .wh import PHYSICAL_TOL, max_abs
 
 _CLAMP = 1e-14
@@ -29,11 +29,13 @@ class OutcomeDistribution:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.shape[0] != self.dim**2:
             raise InvalidInputError(f"expected {self.dim ** 2} probabilities, got {p.shape[0]}")
-        if np.min(p) < -_CLAMP:
+        if not np.isfinite(p).all():
+            raise InvalidInputError("probabilities have non-finite entries (NaN or Inf)")
+        if not (np.min(p) >= -_CLAMP):
             raise InvalidInputError(f"negative probability {np.min(p):.3e}")
         p = np.where(p < 0, 0.0, p)
         total = float(p.sum())
-        if abs(total - 1.0) > PHYSICAL_TOL:
+        if not (abs(total - 1.0) <= PHYSICAL_TOL):
             raise InvalidInputError(f"probabilities sum to {total:.12g}, expected 1")
         object.__setattr__(self, "probs", p)
 
@@ -58,10 +60,10 @@ class DensityMatrix:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise InvalidInputError(f"expected a {self.dim}x{self.dim} matrix, got {rho.shape}")
-        if max_abs(rho - rho.conj().T) > 1e-10:
+        if not (max_abs(rho - rho.conj().T) <= 1e-10):
             raise InvalidInputError("density matrix must be Hermitian")
         tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-8:
+        if not (abs(tr - 1.0) <= 1e-8):
             raise InvalidInputError(f"density matrix must have unit trace, got {tr:.12g}")
         object.__setattr__(self, "matrix", rho)
 
@@ -111,47 +113,40 @@ def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
     return rng.multinomial(n_shots, p)
 
 
-def frame_gram(phi: Fiducial | np.ndarray) -> np.ndarray:
-    """Real Gram matrix G[a, b] = tr(E_a E_b) of the orbit's measurement operators."""
-    flat = np.array([e.reshape(-1) for e in wh_orbit(as_ket(phi)).elements()])
-    return (flat.conj() @ flat.T).real
-
-
 def tomography_reconstruct(
     phi: Fiducial | np.ndarray, dist: OutcomeDistribution
 ) -> DensityMatrix:
     """Linear inversion on the frame {E(j,k)}: solve G x = p, set rho = sum x_a E_a.
 
-    Requires an informationally complete fiducial; a rank-deficient Gram
-    matrix is rejected rather than pseudo-inverted.  Positivity of the result
-    is diagnosed (min eigenvalue), not enforced.
+    The frame Gram G[a, b] = |chi(b - a)|^2 / d^2 is a convolution over
+    Z_d x Z_d, so G x = p is solved as a deconvolution, x = ifft2(fft2(p) / lam)
+    with lam = gram_spectrum(chi), and rho = V^T diag(x) V^* / d with V the
+    orbit.  Requires an informationally complete fiducial; a rank-deficient
+    Gram matrix is rejected rather than pseudo-inverted.  Positivity of the
+    result is diagnosed (min eigenvalue), not enforced.
     """
     ket = as_ket(phi)
     d = ket.shape[0]
     if dist.dim != d:
         raise InvalidInputError(f"distribution has d={dist.dim}, fiducial has d={d}")
-    elements = wh_orbit(ket).elements()
-    flat = np.array([e.reshape(-1) for e in elements])
-    gram = (flat.conj() @ flat.T).real
-    rank = int(np.linalg.matrix_rank(gram))
+    lam = gram_spectrum(characteristic(ket))
+    rank = gram_rank(lam)
     if rank < d * d:
         raise RankDeficientFrameError(
             f"frame Gram matrix has rank {rank} < {d * d}; fiducial is not "
             "informationally complete"
         )
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0:
+    lam_min, lam_max = float(lam.min()), float(lam.max())
+    if not (lam_min > 0):
         raise NumericalFailureError("frame Gram matrix is numerically singular")
-    try:
-        x = np.linalg.solve(gram, dist.probs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rank check
-        raise NumericalFailureError(f"Gram system solve failed: {exc}") from exc
-    rho = np.tensordot(x, np.array(elements), axes=1)
+    x = np.fft.ifft2(np.fft.fft2(dist.probs.reshape(d, d)) / lam).real.reshape(-1)
+    vecs = wh_orbit(ket).vectors
+    rho = (vecs.T * x) @ vecs.conj() / d
     rho = (rho + rho.conj().T) / 2
-    lam = np.linalg.eigvalsh(rho)
+    eigs = np.linalg.eigvalsh(rho)
     return DensityMatrix(
         dim=d,
         matrix=rho,
-        min_eigenvalue=float(lam[0]),
-        gram_condition=float(eigs[-1] / eigs[0]),
+        min_eigenvalue=float(eigs[0]),
+        gram_condition=lam_max / lam_min,
     )

@@ -1,6 +1,10 @@
 """End-to-end exercises of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from naimark.io import obj_to_matrix, save_matrix
 from naimark.wh import max_abs
 
 from util import expected_hesse_u, expected_qubit_u
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -67,6 +73,26 @@ def test_build_rejects_unnormalized_ket_with_measured_norm(capsys):
     rc, _, err = run(capsys, "build", "--ket", "[0.5, 0.5]")
     assert rc == 2
     assert "0.7071" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--ket", "[NaN, 0]"],
+        ["simulate", "--ket", "[NaN, 0]", "--state", "[1, 0]", "--check"],
+        ["simulate", "--ket", "[1, 0]", "--state", "[Infinity, 0]", "--check"],
+    ],
+)
+def test_non_finite_input_exits_2_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "naimark.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_build_unknown_label(capsys):

@@ -14,6 +14,7 @@ from naimark import (
     sic_report,
     wh_orbit,
 )
+from naimark.fiducials import as_ket
 from naimark.wh import max_abs
 
 from util import rand_ket
@@ -58,6 +59,17 @@ def test_fiducial_requires_normalization():
         Fiducial(dim=2, ket=np.array([1.0, 1.0]))
     with pytest.raises(InvalidInputError):
         Fiducial(dim=3, ket=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_kets_rejected(bad):
+    ket = np.array([bad, 0.0])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        Fiducial(dim=2, ket=ket)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_ket(ket)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        is_informationally_complete(ket)
 
 
 def test_orbit_of_qubit_sic_has_simplex_overlaps():

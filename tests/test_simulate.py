@@ -152,6 +152,11 @@ class TestOutcomeDistribution:
         with pytest.raises(InvalidInputError):
             OutcomeDistribution(2, np.array([0.5, 0.5, 0.5, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            OutcomeDistribution(2, np.array([0.5, 0.5, bad, 0.0]))
+
 
 class TestSampling:
     def test_point_mass(self):

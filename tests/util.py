@@ -1,6 +1,8 @@
-"""Shared randomness helpers and expected-matrix fixtures for the test suite."""
+"""Shared randomness helpers, dense oracles and expected-matrix fixtures for the test suite."""
 
 import numpy as np
+
+from naimark.wh import displacement
 
 
 def rand_unitary(d, rng):
@@ -25,6 +27,55 @@ def rand_density(d, rng, n_mix=None):
         k = rand_ket(d, rng)
         rho += w * np.outer(k, k.conj())
     return rho
+
+
+# Dense oracles for the covariant WH core.  The library computes the frame
+# Gram's spectrum, the IC rank, the SIC deviation and linear-inversion
+# tomography from chi(j, k) with FFTs; these build the d^2 dense measurement
+# operators and the d^2 x d^2 Gram instead, as the library once did.
+
+
+def dense_orbit(phi):
+    """Orbit vectors D(j,k)|phi>, rows in (j, k) order, from dense displacements."""
+    d = phi.shape[0]
+    return np.array([displacement(d, j, k) @ phi for j in range(d) for k in range(d)])
+
+
+def dense_overlaps(phi):
+    """|<phi| D(j,k)^dag |phi>| as a d x d array."""
+    d = phi.shape[0]
+    return np.array(
+        [[abs(np.vdot(displacement(d, j, k) @ phi, phi)) for k in range(d)] for j in range(d)]
+    )
+
+
+def dense_elements(phi):
+    """Measurement operators E(j,k) = |phi_jk><phi_jk| / d, shape (d^2, d, d)."""
+    vecs = dense_orbit(phi)
+    return np.einsum("am,an->amn", vecs, vecs.conj()) / phi.shape[0]
+
+
+def dense_frame_gram(phi):
+    """Real Gram matrix G[a, b] = tr(E_a E_b) of the flattened operators."""
+    flat = dense_elements(phi).reshape(phi.shape[0] ** 2, -1)
+    return (flat.conj() @ flat.T).real
+
+
+def dense_sic_report(phi):
+    """Max-norm deviation of |<phi_a|phi_b>|^2 from (d*delta + 1)/(d + 1) over all a, b."""
+    d = phi.shape[0]
+    vecs = dense_orbit(phi)
+    gram2 = np.abs(vecs.conj() @ vecs.T) ** 2
+    return float(np.max(np.abs(gram2 - (d * np.eye(d * d) + 1.0) / (d + 1.0))))
+
+
+def dense_tomography(phi, probs, gram=None):
+    """Linear inversion by solving G x = p; returns (rho, Gram condition number)."""
+    gram = dense_frame_gram(phi) if gram is None else gram
+    eigs = np.linalg.eigvalsh(gram)
+    x = np.linalg.solve(gram, probs)
+    rho = np.tensordot(x, dense_elements(phi), axes=1)
+    return (rho + rho.conj().T) / 2, eigs[-1] / eigs[0]
 
 
 def qubit_fiducial_components():
