@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block import NaimarkExtension, diagonal_blocks
+from .block import NaimarkExtension
 from .errors import InvalidInputError
 from .fiducials import Fiducial
 from .wh import (
-    DEFAULT_TOL,
+    PHYSICAL_TOL,
     bell_change_of_basis,
     clock_op,
     fourier,
@@ -28,14 +28,12 @@ from .wh import (
 )
 
 
-def build_bell_naimark(m: np.ndarray, tol: float = DEFAULT_TOL) -> NaimarkExtension:
+def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
     """Extension bundle via the Bell-basis route; entrywise equal to the block route."""
-    m = require_unitary(m, tol=max(tol, 1e-10), what="completion matrix M")
+    m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
     u = bell_change_of_basis(d) @ np.kron(np.eye(d), m.T)
-    return NaimarkExtension(
-        d=d, M=m, U=u, diag_blocks=tuple(diagonal_blocks(m)), provenance="bell-construction"
-    )
+    return NaimarkExtension(d=d, M=m, U=u, provenance="bell-construction")
 
 
 def matrix_element(m: np.ndarray, r: int, s: int, t: int, u: int) -> complex:
@@ -56,23 +54,18 @@ def matrix_element(m: np.ndarray, r: int, s: int, t: int, u: int) -> complex:
 def controlled_shift(d: int) -> np.ndarray:
     """sum_j X^{-j} x |j><j|: inverse shifts on the first factor, control on the second."""
     x = shift_op(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        proj = np.zeros((d, d))
-        proj[j, j] = 1.0
-        out += np.kron(np.linalg.matrix_power(x, (d - j) % d), proj)
-    return out
+    return sum(np.kron(np.linalg.matrix_power(x, (d - j) % d), _proj(d, j)) for j in range(d))
 
 
 def controlled_clock(d: int) -> np.ndarray:
     """sum_j |j><j| x Z^{-j}: the control/target-swapped partner of the shift."""
     z = clock_op(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        proj = np.zeros((d, d))
-        proj[j, j] = 1.0
-        out += np.kron(proj, np.linalg.matrix_power(z, (d - j) % d))
-    return out
+    return sum(np.kron(_proj(d, j), np.linalg.matrix_power(z, (d - j) % d)) for j in range(d))
+
+
+def _proj(d: int, j: int) -> np.ndarray:
+    """|j><j| on C^d."""
+    return np.diag(np.eye(d)[j])
 
 
 def shift_decomposition(d: int) -> np.ndarray:
@@ -83,14 +76,14 @@ def shift_decomposition(d: int) -> np.ndarray:
     return np.kron(np.eye(d), fourier(d).conj().T) @ controlled_shift(d)
 
 
-def clock_decomposition(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def clock_decomposition(m: np.ndarray) -> np.ndarray:
     """Control/target-dual form of the interaction unitary.
 
     U = [(F^dag x F^dag)(sum_j |j><j| x Z^{-j})(F x I)] (I x M^T); the shift
     control has moved to the first factor with the clock acting on the second,
     yet the product is the same matrix as build_bell_naimark(m).U.
     """
-    m = require_unitary(m, tol=max(tol, 1e-10), what="completion matrix M")
+    m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
     f = fourier(d)
     eye = np.eye(d)

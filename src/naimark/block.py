@@ -16,19 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CatalogMissError, InvalidInputError, NumericalFailureError
-from .fiducials import Fiducial, as_ket, builtin_fiducial
-from .wh import DEFAULT_TOL, clock_op, fourier, max_abs, require_unitary
+from .errors import InvalidInputError, NumericalFailureError
+from .fiducials import Fiducial, as_ket
+from .wh import (
+    DEFAULT_TOL,
+    PHYSICAL_TOL,
+    clock_op,
+    fourier,
+    max_abs,
+    require_normalized,
+    require_unitary,
+    unitarity_residual,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class NaimarkExtension:
-    """Bundle of a completion matrix M, the full unitary U, and its blocks."""
+    """Bundle of a completion matrix M, the full unitary U, and the route taken."""
 
     d: int
     M: np.ndarray
     U: np.ndarray
-    diag_blocks: tuple[np.ndarray, ...]
     provenance: str
 
     @property
@@ -44,11 +52,8 @@ def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
     standard basis with the vector of largest overlap removed, orthonormalized
     against the rows built so far (modified Gram-Schmidt, index order).
     """
-    ket = as_ket(phi)
+    ket = require_normalized(as_ket(phi), "fiducial")
     d = ket.shape[0]
-    norm = float(np.linalg.norm(ket))
-    if not (abs(norm - 1.0) <= 1e-10):
-        raise InvalidInputError(f"fiducial must be normalized, got ||ket|| = {norm:.12g}")
     drop = int(np.argmax(np.abs(ket)))
     rows = [ket.conj()]
     for i in range(d):
@@ -59,61 +64,10 @@ def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
         for r in rows:
             v = v - np.vdot(r, v) * r
         n = float(np.linalg.norm(v))
-        if n < 1e-12:
+        if n < DEFAULT_TOL:
             raise NumericalFailureError("Gram-Schmidt collapse while completing the unitary")
         rows.append(v / n)
     return np.array(rows)
-
-
-def _catalog_qubit_m() -> np.ndarray:
-    phi = builtin_fiducial(2, "qubit-sic").ket
-    return np.array([[phi[0].conj(), phi[1].conj()], [-phi[1], phi[0]]])
-
-
-def _catalog_hesse_m() -> np.ndarray:
-    return np.array([[0, 1, -1], [np.sqrt(2), 0, 0], [0, 1, 1]], dtype=complex) / np.sqrt(2)
-
-
-def _catalog_ququart_m() -> np.ndarray:
-    alpha = np.sqrt(2 + np.sqrt(5))
-    scale = np.sqrt((1 - 1 / np.sqrt(5)) / 8)
-    a = np.array(
-        [
-            [1, 1j * alpha, 1, -1j * alpha],
-            [-1, 1j, -1, -1j],
-            [alpha, -1j, alpha, 1j],
-            [-1, -1j, -1, 1j],
-        ]
-    )
-    b = np.array(
-        [
-            [1, 1j, -1, 1j],
-            [-alpha, 1j, alpha, 1j],
-            [-1, 1j, 1, 1j],
-            [1, 1j * alpha, -1, 1j * alpha],
-        ]
-    )
-    return scale * (np.exp(1j * np.pi / 4) * a + b)
-
-
-_M_BUILDERS = {
-    "qubit": _catalog_qubit_m,
-    "hesse": _catalog_hesse_m,
-    "ququart": _catalog_ququart_m,
-}
-
-M_LABELS = tuple(sorted(_M_BUILDERS))
-
-# Fiducial label paired with each cataloged completion matrix (row 0).
-M_FIDUCIAL_LABELS = {"qubit": "qubit-sic", "hesse": "hesse", "ququart": "ququart-sic"}
-
-
-def catalog_m(label: str) -> np.ndarray:
-    """Cataloged completion matrix whose rows are mutually orthogonal fiducials."""
-    try:
-        return _M_BUILDERS[label]()
-    except KeyError:
-        raise CatalogMissError(f"no completion matrix {label!r}; catalog has {M_LABELS}") from None
 
 
 def rank_one_block(m: np.ndarray, k: int) -> np.ndarray:
@@ -136,9 +90,9 @@ def blocks_of(m: np.ndarray) -> list[np.ndarray]:
     return [rank_one_block(m, k) for k in range(np.asarray(m).shape[0])]
 
 
-def assemble_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def assemble_unitary(m: np.ndarray) -> np.ndarray:
     """Lay the rank-one blocks out block-circulantly into the full unitary."""
-    m = require_unitary(m, tol=max(tol, 1e-10), what="completion matrix M")
+    m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
     s = blocks_of(m)
     u = np.zeros((d * d, d * d), dtype=complex)
@@ -161,17 +115,11 @@ def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
     return [f_dag @ np.linalg.matrix_power(z, (d - j) % d) @ m.T for j in range(d)]
 
 
-def build_block_naimark(m: np.ndarray, tol: float = DEFAULT_TOL) -> NaimarkExtension:
+def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
     """Full extension bundle via the block-circulant layout."""
-    u = assemble_unitary(m, tol=tol)
+    u = assemble_unitary(m)
     m = np.asarray(m, dtype=complex)
-    return NaimarkExtension(
-        d=m.shape[0],
-        M=m,
-        U=u,
-        diag_blocks=tuple(diagonal_blocks(m)),
-        provenance="block-construction",
-    )
+    return NaimarkExtension(d=m.shape[0], M=m, U=u, provenance="block-construction")
 
 
 def reassemble_from_blocks(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
@@ -225,14 +173,9 @@ def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
     max-norm residuals; `recovered_m` is the completion matrix implied by U.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    d = int(round(np.sqrt(n)))
-    if u.shape != (n, n) or d * d != n:
-        raise InvalidInputError(f"expected a square d^2 x d^2 matrix, got shape {u.shape}")
-    report: dict = {"d": d}
-    report["unitarity"] = max_abs(u.conj().T @ u - np.eye(n))
-
     s = extract_blocks(u)
+    d = len(s)
+    report: dict = {"d": d, "unitarity": unitarity_residual(u)}
     circ = 0.0
     for r in range(d):
         for t in range(d):
@@ -250,7 +193,7 @@ def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
         m_rec[:, q] = m_row
     report["block_rank_one"] = rank_one
     report["recovered_m"] = m_rec
-    report["recovered_m_unitarity"] = max_abs(m_rec.conj().T @ m_rec - np.eye(d))
+    report["recovered_m_unitarity"] = unitarity_residual(m_rec)
     report["block_constraints"] = block_constraint_violation(s)
 
     if m is not None:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wh
 from .errors import InvalidCircuitError, InvalidInputError
-from .wh import max_abs
 
 _ONE_WIRE = {"H": 1, "R": 1}
 _TWO_WIRE = {"CR": 2, "SWAP": 2}
@@ -223,13 +223,22 @@ def cx_qudit_circuit(n: int) -> GateList:
     return GateList(2 * n, fw.gates + cz.gates + fw.inverse().gates)
 
 
+def bell_rotation_circuit(n: int) -> GateList:
+    """Bell change of basis (I x F^dag)(sum_j X^{-j} x |j><j|) on 2n wires.
+
+    The inverse controlled shift is the reversed, phase-conjugated qudit CX.
+    """
+    shift_inv = cx_qudit_circuit(n).inverse()
+    f_dag = qudit_fourier_circuit(n, wire_offset=n, n_qubits=2 * n).inverse()
+    return GateList(2 * n, shift_inv.gates + f_dag.gates)
+
+
 def full_naimark_circuit(m: np.ndarray | GateList, n: int) -> GateList:
     """Complete measurement circuit (I x F^dag)(sum_j X^{-j} x |j><j|)(I x M^T).
 
     System qudit on wires 0..n-1, ancilla on wires n..2n-1.  M may be given as
     a gate list (expanded and then transposed) or as a matrix; either way M^T
-    enters as one opaque gate on the ancilla.  The inverse controlled shift is
-    the reversed, phase-conjugated qudit CX.
+    enters as one opaque gate on the ancilla, followed by bell_rotation_circuit.
     """
     d = 2**n
     if isinstance(m, GateList):
@@ -239,13 +248,9 @@ def full_naimark_circuit(m: np.ndarray | GateList, n: int) -> GateList:
     m = np.asarray(m, dtype=complex)
     if m.shape != (d, d):
         raise InvalidInputError(f"completion matrix must be {d}x{d} for n={n}, got {m.shape}")
-    ancilla = tuple(range(n, 2 * n))
-    prep = Gate("U", ancilla, matrix=m.T)
-    shift_inv = cx_qudit_circuit(n).inverse()
-    f_dag = qudit_fourier_circuit(n, wire_offset=n, n_qubits=2 * n).inverse()
-    return GateList(2 * n, (prep,) + shift_inv.gates + f_dag.gates)
+    prep = Gate("U", tuple(range(n, 2 * n)), matrix=m.T)
+    return GateList(2 * n, (prep,) + bell_rotation_circuit(n).gates)
 
 
 def unitarity_residual(circuit: GateList) -> float:
-    u = expand(circuit)
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    return wh.unitarity_residual(expand(circuit))

@@ -9,23 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bell import build_bell_naimark, fiducial_for_embedding
-from .block import (
-    M_FIDUCIAL_LABELS,
-    M_LABELS,
-    build_block_naimark,
-    catalog_m,
-    complete_unitary,
-    structure_report,
-)
+from .bell import build_bell_naimark, controlled_clock, controlled_shift, fiducial_for_embedding
+from .block import build_block_naimark, complete_unitary, structure_report
 from .circuits import (
-    GateList,
+    bell_rotation_circuit,
     cx_qudit_circuit,
     cz_qudit_circuit,
     expand,
@@ -35,11 +29,12 @@ from .circuits import (
 from .errors import (
     InvalidInputError,
     NaimarkError,
+    NumericalFailureError,
     ParseError,
     UnsupportedDimensionError,
 )
 from .fiducials import (
-    _CATALOG,
+    CATALOG,
     Fiducial,
     builtin_fiducial,
     is_informationally_complete,
@@ -50,29 +45,40 @@ from .io import (
     counts_to_obj,
     distribution_to_obj,
     gatelist_to_obj,
+    load_matrix,
     matrix_to_obj,
-    obj_to_matrix,
 )
 from .simulate import direct_probabilities, measure_probabilities, sample
-from .wh import bell_change_of_basis, clock_op, fourier, max_abs, shift_op
-
-_FIDUCIAL_TO_M = {v: k for k, v in M_FIDUCIAL_LABELS.items()}
+from .wh import (
+    PHYSICAL_TOL,
+    bell_change_of_basis,
+    fourier,
+    max_abs,
+    require_normalized,
+    unitarity_residual,
+)
 
 
 def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("NAIMARK_TOL")
-    if env:
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env = os.environ.get("NAIMARK_TOL")
+        if not env:
+            return PHYSICAL_TOL
         try:
-            return float(env)
+            tol, source = float(env), "NAIMARK_TOL"
         except ValueError:
             raise InvalidInputError(f"NAIMARK_TOL is not a number: {env!r}") from None
-    return 1e-10
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInputError(f"{source} must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericalFailureError("result has non-finite values (NaN or Inf)") from None
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -92,31 +98,36 @@ def _parse_ket(text: str) -> np.ndarray:
     return np.array(entries, dtype=complex)
 
 
+def _read_ket(inline: str | None, path: str | None, what: str, missing: str) -> np.ndarray:
+    """The ket given inline, else the one in the file at path; `missing` if neither."""
+    if inline:
+        return _parse_ket(inline)
+    if not path:
+        raise InvalidInputError(missing)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_ket(fh.read())
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file: {exc}") from exc
+
+
 def _resolve_fiducial(args) -> Fiducial:
     if args.catalog:
-        for (d, label) in _CATALOG:
-            if label == args.catalog:
-                return builtin_fiducial(d, label)
-        known = ", ".join(sorted(label for _, label in _CATALOG))
-        raise InvalidInputError(f"unknown catalog label {args.catalog!r}; known: {known}")
-    if args.ket:
-        ket = _parse_ket(args.ket)
-    elif args.ket_file:
-        try:
-            with open(args.ket_file, "r", encoding="utf-8") as fh:
-                ket = _parse_ket(fh.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read ket file: {exc}") from exc
-    else:
-        raise InvalidInputError("provide a fiducial via --catalog, --ket, or --ket-file")
-    return Fiducial(dim=ket.shape[0], ket=ket, label=args.catalog or "inline")
+        entry = CATALOG.get(args.catalog)
+        if entry is None:
+            known = ", ".join(sorted(CATALOG))
+            raise InvalidInputError(f"unknown catalog label {args.catalog!r}; known: {known}")
+        return builtin_fiducial(len(entry.ket), entry.label)
+    missing = "provide a fiducial via --catalog, --ket, or --ket-file"
+    ket = _read_ket(args.ket, args.ket_file, "ket", missing)
+    return Fiducial(dim=ket.shape[0], ket=ket, label="inline")
 
 
 def _completion_for(fid: Fiducial) -> tuple[np.ndarray, str]:
     """Catalog completion when the fiducial is cataloged, else deterministic."""
-    m_label = _FIDUCIAL_TO_M.get(fid.label)
-    if m_label is not None:
-        return catalog_m(m_label), m_label
+    entry = CATALOG.get(fid.label)
+    if entry is not None and entry.m is not None:
+        return entry.m.copy(), entry.m_label
     return complete_unitary(fid), "completed"
 
 
@@ -126,23 +137,12 @@ def _build_extension(m: np.ndarray, construction: str):
     return build_block_naimark(m)
 
 
-def _load_matrix_flexible(path: str, key: str) -> tuple[np.ndarray, int]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-    if isinstance(obj, dict) and "re" not in obj and key in obj:
-        obj = obj[key]
-    return obj_to_matrix(obj)
-
-
 def cmd_build(args) -> int:
     tol = _default_tol(args)
     fid = _resolve_fiducial(args)
     m, m_source = _completion_for(fid)
     ext = _build_extension(m, args.construction)
-    residual = max_abs(ext.U.conj().T @ ext.U - np.eye(ext.d**2))
+    residual = unitarity_residual(ext.U)
     ic = is_informationally_complete(fid, tol=tol)
     if not ic:
         print(
@@ -167,27 +167,27 @@ def cmd_build(args) -> int:
     return 0
 
 
+# structure_report residuals that verify gates on, in output order.
+_VERIFY_CHECKS = (
+    "unitarity",
+    "block_circulant",
+    "block_rank_one",
+    "recovered_m_unitarity",
+    "block_constraints",
+    "m_match",  # only when --m is given
+)
+
+
 def cmd_verify(args) -> int:
     tol = _default_tol(args)
-    u, d = _load_matrix_flexible(args.u, "U")
+    u, d = load_matrix(args.u)
     m = None
     if args.m:
-        m, _ = _load_matrix_flexible(args.m, "M")
+        m, _ = load_matrix(args.m, "M")
     report = structure_report(u, m)
     if report["d"] != d:
         print(f"warning: file says d={d} but U is {u.shape[0]}x{u.shape[1]}", file=sys.stderr)
-    checks = {
-        k: report[k]
-        for k in (
-            "unitarity",
-            "block_circulant",
-            "block_rank_one",
-            "recovered_m_unitarity",
-            "block_constraints",
-        )
-    }
-    if "m_match" in report:
-        checks["m_match"] = report["m_match"]
+    checks = {k: report[k] for k in _VERIFY_CHECKS if k in report}
     ok = all(v <= tol for v in checks.values())
     out = {"d": report["d"], "tol": tol, "checks": checks, "pass": ok}
     if ok:
@@ -203,20 +203,13 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     tol = _default_tol(args)
+    for flag, value in (("--shots", args.shots), ("--seed", args.seed)):
+        if value < 0:
+            raise InvalidInputError(f"{flag} must be >= 0, got {value}")
     fid = _resolve_fiducial(args)
-    if args.state:
-        psi = _parse_ket(args.state)
-    elif args.state_file:
-        try:
-            with open(args.state_file, "r", encoding="utf-8") as fh:
-                psi = _parse_ket(fh.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read state file: {exc}") from exc
-    else:
-        raise InvalidInputError("provide an input state via --state or --state-file")
-    norm = float(np.linalg.norm(psi))
-    if not (abs(norm - 1.0) <= 1e-10):
-        raise InvalidInputError(f"input state is not normalized: ||psi|| = {norm:.12g}")
+    missing = "provide an input state via --state or --state-file"
+    psi = _read_ket(args.state, args.state_file, "state", missing)
+    require_normalized(psi, "input state")
     if psi.shape[0] != fid.dim:
         raise InvalidInputError(f"state has dim {psi.shape[0]}, fiducial has dim {fid.dim}")
 
@@ -232,7 +225,7 @@ def cmd_simulate(args) -> int:
         oracle = direct_probabilities(fiducial_for_embedding(m, args.index), psi)
         residual = max_abs(dist.probs - oracle.probs)
         out["check_residual"] = residual
-        if residual > tol:
+        if not (residual <= tol):
             rc = 1
         print(f"oracle cross-check residual {residual:.3e}", file=sys.stderr)
     if args.shots > 0:
@@ -247,39 +240,30 @@ def cmd_simulate(args) -> int:
 _CIRCUIT_TARGETS = ("cz", "cx", "fourier", "bell", "naimark")
 
 
-def _bell_rotation_circuit(n: int) -> GateList:
-    shift_inv = cx_qudit_circuit(n).inverse()
-    f_dag = qudit_fourier_circuit(n, wire_offset=n, n_qubits=2 * n).inverse()
-    return GateList(2 * n, shift_inv.gates + f_dag.gates)
-
-
 def cmd_circuit(args) -> int:
     tol = _default_tol(args)
     n = args.n
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
     d = 2**n
-    closed_form = None
+    # The bell forms use inverse powers; the conjugate of the diagonal clock form is
+    # sum_m Z^m x |m><m|, the transpose of the real shift form sum_m X^m x |m><m|.
     if args.target == "cz":
         circ = cz_qudit_circuit(n)
-        closed_form = sum(
-            np.kron(np.linalg.matrix_power(clock_op(d), mm), _proj(d, mm)) for mm in range(d)
-        )
+        closed_form = controlled_clock(d).conj()
     elif args.target == "cx":
         circ = cx_qudit_circuit(n)
-        closed_form = sum(
-            np.kron(np.linalg.matrix_power(shift_op(d), mm), _proj(d, mm)) for mm in range(d)
-        )
+        closed_form = controlled_shift(d).conj().T
     elif args.target == "fourier":
         circ = qudit_fourier_circuit(n)
         closed_form = fourier(d)
     elif args.target == "bell":
-        circ = _bell_rotation_circuit(n)
+        circ = bell_rotation_circuit(n)
         closed_form = bell_change_of_basis(d)
     else:
         if not args.m:
             raise InvalidInputError("circuit naimark needs --m FILE")
-        m, _ = _load_matrix_flexible(args.m, "M")
+        m, _ = load_matrix(args.m, "M")
         if m.shape != (d, d):
             raise UnsupportedDimensionError(
                 f"completion matrix is {m.shape[0]}x{m.shape[1]}; qubit synthesis needs d = 2**n = {d}"
@@ -295,42 +279,34 @@ def cmd_circuit(args) -> int:
         residual = max_abs(mat - closed_form)
         out["expanded"] = matrix_to_obj(mat, d)
         out["closed_form_residual"] = residual
-        if residual > tol:
+        if not (residual <= tol):
             rc = 1
         print(f"expansion residual vs closed form: {residual:.3e}", file=sys.stderr)
     _emit(out, args.out)
     return rc
 
 
-def _proj(d: int, m: int) -> np.ndarray:
-    p = np.zeros((d, d))
-    p[m, m] = 1.0
-    return p
-
-
 def cmd_catalog(args) -> int:
-    fiducials = []
-    for (d, label), ket in sorted(_CATALOG.items()):
-        fiducials.append(
-            {
-                "label": label,
-                "d": d,
-                "re": ket.real.tolist(),
-                "im": ket.imag.tolist(),
-                "sic_deviation": sic_report(ket),
-            }
-        )
-    completions = []
-    for label in M_LABELS:
-        m = catalog_m(label)
-        completions.append(
-            {
-                "label": label,
-                "d": m.shape[0],
-                "fiducial_label": M_FIDUCIAL_LABELS[label],
-                "M": matrix_to_obj(m, m.shape[0]),
-            }
-        )
+    fiducials = [
+        {
+            "label": e.label,
+            "d": len(e.ket),
+            "re": e.ket.real.tolist(),
+            "im": e.ket.imag.tolist(),
+            "sic_deviation": sic_report(e.ket),
+        }
+        for e in CATALOG.values()
+    ]
+    tabulated = sorted((e for e in CATALOG.values() if e.m is not None), key=lambda e: e.m_label)
+    completions = [
+        {
+            "label": e.m_label,
+            "d": len(e.m),
+            "fiducial_label": e.label,
+            "M": matrix_to_obj(e.m, len(e.m)),
+        }
+        for e in tabulated
+    ]
     _emit({"fiducials": fiducials, "completions": completions}, args.out)
     return 0
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMissError, InvalidDimensionError, InvalidInputError
-from .wh import DEFAULT_TOL, PHYSICAL_TOL, _phases, max_abs, require_unitary
+from .wh import DEFAULT_TOL, PHYSICAL_TOL, _phases, max_abs, require_normalized, require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,10 +22,7 @@ class Fiducial:
         ket = as_ket(self.ket)
         if ket.shape[0] != self.dim:
             raise InvalidInputError(f"ket has length {ket.shape[0]}, expected {self.dim}")
-        norm = float(np.linalg.norm(ket))
-        if not (abs(norm - 1.0) <= PHYSICAL_TOL):
-            raise InvalidInputError(f"fiducial must be normalized, got ||ket|| = {norm:.12g}")
-        object.__setattr__(self, "ket", ket)
+        object.__setattr__(self, "ket", require_normalized(ket, "fiducial"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,41 +65,82 @@ def _orbit_ket(phi: Fiducial | np.ndarray) -> np.ndarray:
     return ket
 
 
-def _qubit_sic_ket() -> np.ndarray:
-    return np.array(
+def _qubit_sic() -> tuple[np.ndarray, np.ndarray]:
+    """The qubit SIC fiducial and its completion matrix."""
+    phi = np.array(
         [np.sqrt(3 + np.sqrt(3)), np.exp(1j * np.pi / 4) * np.sqrt(3 - np.sqrt(3))]
     ) / np.sqrt(6)
+    return phi, np.array([[phi[0].conj(), phi[1].conj()], [-phi[1], phi[0]]])
 
 
-def _ququart_sic_ket() -> np.ndarray:
-    # Stored via alpha = sqrt(2 + sqrt 5) and the nested-radical normalization,
-    # not as decimal literals.
+def _ququart_sic() -> tuple[np.ndarray, np.ndarray]:
+    # The ququart SIC fiducial and its completion matrix, stored via alpha =
+    # sqrt(2 + sqrt 5) and the nested-radical normalization, not as decimal literals.
     alpha = np.sqrt(2 + np.sqrt(5))
     scale = np.sqrt((1 - 1 / np.sqrt(5)) / 8)
     u = np.exp(-1j * np.pi / 4)
-    return scale * np.array(
+    ket = scale * np.array(
         [u + 1, -1j * (alpha * u + 1), u - 1, 1j * (alpha * u - 1)]
     )
+    a = np.array(
+        [
+            [1, 1j * alpha, 1, -1j * alpha],
+            [-1, 1j, -1, -1j],
+            [alpha, -1j, alpha, 1j],
+            [-1, -1j, -1, 1j],
+        ]
+    )
+    b = np.array(
+        [
+            [1, 1j, -1, 1j],
+            [-alpha, 1j, alpha, 1j],
+            [-1, 1j, 1, 1j],
+            [1, 1j * alpha, -1, 1j * alpha],
+        ]
+    )
+    return ket, scale * (np.exp(1j * np.pi / 4) * a + b)
 
 
-_CATALOG: dict[tuple[int, str], np.ndarray] = {
-    (2, "qubit-sic"): _qubit_sic_ket(),
-    (3, "hesse"): np.array([0, 1, -1]) / np.sqrt(2),
-    (3, "hesse-partner"): np.array([0, 1, 1]) / np.sqrt(2),
-    (4, "ququart-sic"): _ququart_sic_ket(),
+@dataclass(frozen=True, eq=False)
+class CatalogEntry:
+    """A cataloged fiducial and, where one is tabulated, its completion matrix (row 0 = bra)."""
+
+    label: str
+    ket: np.ndarray
+    m: np.ndarray | None = None
+    m_label: str | None = None
+
+
+_HESSE_M = np.array([[0, 1, -1], [np.sqrt(2), 0, 0], [0, 1, 1]], dtype=complex) / np.sqrt(2)
+
+# The catalog, one record per fiducial, keyed by label, in (d, label) order.
+CATALOG: dict[str, CatalogEntry] = {
+    e.label: e
+    for e in (
+        CatalogEntry("qubit-sic", *_qubit_sic(), "qubit"),
+        CatalogEntry("hesse", np.array([0, 1, -1]) / np.sqrt(2), _HESSE_M, "hesse"),
+        CatalogEntry("hesse-partner", np.array([0, 1, 1]) / np.sqrt(2)),
+        CatalogEntry("ququart-sic", *_ququart_sic(), "ququart"),
+    )
 }
-
-FIDUCIAL_LABELS = tuple(sorted(label for (_, label) in _CATALOG))
 
 
 def builtin_fiducial(d: int, label: str) -> Fiducial:
     """Look up a cataloged fiducial state by (dimension, label)."""
-    try:
-        ket = _CATALOG[(d, label)]
-    except KeyError:
-        known = ", ".join(f"({dd}, {lb!r})" for dd, lb in sorted(_CATALOG))
-        raise CatalogMissError(f"no fiducial ({d}, {label!r}); catalog has {known}") from None
-    return Fiducial(dim=d, ket=ket.copy(), label=label)
+    entry = CATALOG.get(label)
+    if entry is None or len(entry.ket) != d:
+        known = ", ".join(f"({len(e.ket)}, {e.label!r})" for e in CATALOG.values())
+        raise CatalogMissError(f"no fiducial ({d}, {label!r}); catalog has {known}")
+    return Fiducial(dim=d, ket=entry.ket.copy(), label=label)
+
+
+def catalog_m(label: str) -> np.ndarray:
+    """Cataloged completion matrix whose rows are mutually orthogonal fiducials."""
+    for e in CATALOG.values():
+        if e.m is not None and e.m_label == label:
+            return e.m.copy()
+    known = tuple(sorted(e.m_label for e in CATALOG.values() if e.m is not None))
+    raise CatalogMissError(f"no completion matrix {label!r}; catalog has {known}")
 
 
 def wh_orbit(phi: Fiducial | np.ndarray) -> WHFrame:

@@ -53,7 +53,16 @@ def obj_to_matrix(obj: dict) -> tuple[np.ndarray, int]:
         raise ParseError(
             f"array shapes {re.shape}/{im.shape} do not match rows x cols = {rows}x{cols}"
         )
-    return re + 1j * im, d
+    return _complex(re, im, "matrix"), d
+
+
+def _complex(re: np.ndarray, im: np.ndarray, what: str) -> np.ndarray:
+    """re + i*im with the bits of both parts kept (re + 1j*im turns -0.0 into 0.0)."""
+    a = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    a.real, a.imag = re, im
+    if not np.isfinite(a).all():
+        raise ParseError(f"{what} has non-finite entries (NaN or Inf)")
+    return a
 
 
 def save_matrix(path: str, a: np.ndarray, d: int) -> None:
@@ -62,19 +71,15 @@ def save_matrix(path: str, a: np.ndarray, d: int) -> None:
         fh.write("\n")
 
 
-def load_matrix(path: str, key: str | None = None) -> tuple[np.ndarray, int]:
-    """Read a matrix file; `key` selects a sub-object (e.g. "U") from bundles."""
+def load_matrix(path: str, key: str = "U") -> tuple[np.ndarray, int]:
+    """Read a matrix file; from a bundle (such as build output), take its `key` entry."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-    if key is not None:
-        if not isinstance(obj, dict) or key not in obj:
-            raise ParseError(f"{path} has no {key!r} entry")
+    if isinstance(obj, dict) and "re" not in obj and key in obj:
         obj = obj[key]
-    elif isinstance(obj, dict) and "re" not in obj and "U" in obj:
-        obj = obj["U"]
     return obj_to_matrix(obj)
 
 
@@ -99,7 +104,9 @@ def obj_to_gate(obj: dict) -> Gate:
     matrix = None
     if kind == "U":
         try:
-            matrix = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+            re = np.asarray(obj["re"], dtype=float)
+            im = np.asarray(obj["im"], dtype=float)
+            matrix = _complex(re, im, "U-gate matrix")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed U-gate matrix: {exc}") from exc
     k = obj.get("k")

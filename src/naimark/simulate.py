@@ -15,6 +15,7 @@ from .errors import (
 from .fiducials import Fiducial, as_ket, characteristic, gram_rank, gram_spectrum, wh_orbit
 from .wh import PHYSICAL_TOL, max_abs
 
+# Probabilities down to -_CLAMP are rounding and clamped to 0; lower is an error.
 _CLAMP = 1e-14
 
 
@@ -60,9 +61,10 @@ class DensityMatrix:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise InvalidInputError(f"expected a {self.dim}x{self.dim} matrix, got {rho.shape}")
-        if not (max_abs(rho - rho.conj().T) <= 1e-10):
+        if not (max_abs(rho - rho.conj().T) <= PHYSICAL_TOL):
             raise InvalidInputError("density matrix must be Hermitian")
         tr = complex(np.trace(rho))
+        # Looser than PHYSICAL_TOL: a reconstruction's rounding grows with gram_condition.
         if not (abs(tr - 1.0) <= 1e-8):
             raise InvalidInputError(f"density matrix must have unit trace, got {tr:.12g}")
         object.__setattr__(self, "matrix", rho)

@@ -17,7 +17,11 @@ import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError
 
-# Default tolerances: exact-algebra fixtures vs physical-property checks.
+# Tolerance policy.  DEFAULT_TOL bounds identities that hold in exact
+# algebra and only meet rounding (closed forms against each other, witness
+# ties).  PHYSICAL_TOL bounds checks on data a caller hands in (unitarity of
+# M, normalization of kets, Hermiticity) and is the CLI's default --tol.
+# Guards are written `not (x <= tol)` so that a NaN residual fails them.
 DEFAULT_TOL = 1e-12
 PHYSICAL_TOL = 1e-10
 
@@ -27,14 +31,27 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
+def unitarity_residual(a: np.ndarray) -> float:
+    """||A^dag A - I||_max of a square matrix."""
+    return max_abs(a.conj().T @ a - np.eye(a.shape[0]))
+
+
 def require_unitary(a: np.ndarray, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"{what} must be square, got shape {a.shape}")
-    resid = max_abs(a.conj().T @ a - np.eye(a.shape[0]))
-    if resid > tol:
+    resid = unitarity_residual(a)
+    if not (resid <= tol):
         raise InvalidInputError(f"{what} is not unitary: ||A^dag A - I||_max = {resid:.3e}")
     return a
+
+
+def require_normalized(ket: np.ndarray, what: str) -> np.ndarray:
+    """Return ket unchanged if its 2-norm is within PHYSICAL_TOL of 1."""
+    norm = float(np.linalg.norm(ket))
+    if not (abs(norm - 1.0) <= PHYSICAL_TOL):
+        raise InvalidInputError(f"{what} must be normalized, got ||ket|| = {norm:.12g}")
+    return ket
 
 
 def root_of_unity(d: int) -> complex:

@@ -12,12 +12,15 @@ from naimark import (
     builtin_fiducial,
     catalog_m,
     clock_decomposition,
+    clock_op,
+    controlled_clock,
     controlled_shift,
     displacement,
     fiducial_for_embedding,
     is_informationally_complete,
     matrix_element,
     shift_decomposition,
+    shift_op,
     sic_report,
 )
 from naimark.wh import max_abs
@@ -154,3 +157,29 @@ class TestFiducialForEmbedding:
     def test_index_out_of_range(self):
         with pytest.raises(InvalidInputError):
             fiducial_for_embedding(np.eye(2), 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_controlled_closed_forms_with_positive_powers(d):
+    # sum_m Z^m x |m><m| and sum_m X^m x |m><m|, the forms the qudit CZ / CX
+    # circuits realize, from the inverse-power forms of this module.
+    proj = [np.diag(np.eye(d)[m]) for m in range(d)]
+    clock_pos = sum(np.kron(np.linalg.matrix_power(clock_op(d), m), proj[m]) for m in range(d))
+    shift_pos = sum(np.kron(np.linalg.matrix_power(shift_op(d), m), proj[m]) for m in range(d))
+    assert max_abs(controlled_clock(d).conj() - clock_pos) < 1e-14
+    assert np.array_equal(controlled_shift(d).conj().T, shift_pos)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the residual
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("route", [build_block_naimark, build_bell_naimark, clock_decomposition])
+def test_routes_reject_non_finite_completion(route, bad):
+    m = catalog_m("hesse")
+    m[1, 2] = bad
+    with pytest.raises(InvalidInputError, match="not unitary"):
+        route(m)
+
+
+def test_extension_bundle_has_no_diag_blocks():
+    ext = build_block_naimark(catalog_m("qubit"))
+    assert not hasattr(ext, "diag_blocks")

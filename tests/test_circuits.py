@@ -23,7 +23,7 @@ from naimark import (
     qudit_z_circuit,
     shift_op,
 )
-from naimark.circuits import unitarity_residual
+from naimark.circuits import bell_rotation_circuit, unitarity_residual
 from naimark.wh import max_abs
 
 from util import expected_qubit_u, rand_unitary
@@ -220,3 +220,17 @@ class TestFullNaimarkCircuit:
             full_naimark_circuit(np.eye(3), 1)
         with pytest.raises(InvalidInputError):
             full_naimark_circuit(GateList(2, ()), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bell_rotation_circuit_is_bell_change_of_basis(n):
+    assert max_abs(expand(bell_rotation_circuit(n)) - bell_change_of_basis(2**n)) < 1e-12
+
+
+def test_full_circuit_is_preparation_then_bell_rotation():
+    m = catalog_m("qubit")
+    circ = full_naimark_circuit(m, 1)
+    assert circ.gates[0].kind == "U"
+    assert [(g.kind, g.wires, g.k, g.dagger) for g in circ.gates[1:]] == [
+        (g.kind, g.wires, g.k, g.dagger) for g in bell_rotation_circuit(1).gates
+    ]

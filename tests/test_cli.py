@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from naimark import bell_change_of_basis, catalog_m
 from naimark.cli import main
-from naimark.io import obj_to_matrix, save_matrix
+from naimark.io import matrix_to_obj, obj_to_matrix, save_matrix
 from naimark.wh import max_abs
 
 from util import expected_hesse_u, expected_qubit_u
@@ -233,3 +234,117 @@ def test_circuit_naimark_wrong_dimension(capsys, tmp_path):
     rc, _, err = run(capsys, "circuit", "naimark", "--n", "1", "--m", str(path))
     assert rc == 2
     assert "2**n" in err
+
+
+def run_cli(*argv, env_extra=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("NAIMARK_TOL", None)
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "naimark.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def nan_matrix_file(tmp_path, a, d):
+    obj = matrix_to_obj(a, d)
+    obj["re"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # writes a bare NaN token, as Python's json allows
+    return path
+
+
+@pytest.mark.parametrize("target", ["verify", "circuit"])
+def test_nan_matrix_file_exits_3_without_nan_output(tmp_path, target):
+    if target == "verify":
+        argv = ["verify", "--u", str(nan_matrix_file(tmp_path, expected_qubit_u(), 2))]
+    else:
+        path = nan_matrix_file(tmp_path, catalog_m("qubit"), 2)
+        argv = ["circuit", "naimark", "--n", "1", "--m", str(path), "--expand"]
+    proc = run_cli(*argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "NaN" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "non-finite" in proc.stderr
+
+
+def test_overflowing_residuals_exit_2_without_infinity_output(tmp_path):
+    path = tmp_path / "huge.json"
+    save_matrix(str(path), 1e200 * expected_qubit_u(), d=2)
+    proc = run_cli("verify", "--u", str(path))
+    assert proc.returncode == 2
+    assert "Infinity" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_non_finite_or_negative_tol_exits_2(source, value):
+    argv = ["circuit", "cz", "--n", "2", "--expand"]
+    if source == "flag":
+        proc = run_cli(*argv, "--tol", value)
+    else:
+        proc = run_cli(*argv, env_extra={"NAIMARK_TOL": value})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "must be finite and >= 0" in proc.stderr
+
+
+def test_zero_tol_is_accepted(capsys):
+    rc, out, _ = run(capsys, "circuit", "fourier", "--n", "1", "--tol", "0")
+    assert rc == 0
+    assert json.loads(out)["target"] == "fourier"
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [(["--shots", "-5"], "--shots"), (["--shots", "10", "--seed", "-1"], "--seed")],
+)
+def test_simulate_rejects_negative_shots_and_seed(extra, flag):
+    proc = run_cli("simulate", "--catalog", "qubit-sic", "--state", "[1, 0]", *extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"{flag} must be >= 0" in proc.stderr
+
+
+def test_simulate_zero_shots_stays_exact_only(capsys):
+    rc, out, _ = run(capsys, "simulate", "--catalog", "qubit-sic", "--state", "[1, 0]",
+                     "--shots", "0", "--seed", "0")
+    assert rc == 0
+    assert "counts" not in json.loads(out)
+
+
+def test_simulate_reads_state_and_ket_files(capsys, tmp_path):
+    ket, state = tmp_path / "ket.json", tmp_path / "state.json"
+    ket.write_text("[[0, 0], [0.7071067811865476, 0], [-0.7071067811865476, 0]]")
+    state.write_text("[1, 0, 0]")
+    rc, out, _ = run(capsys, "simulate", "--ket-file", str(ket), "--state-file", str(state),
+                     "--check")
+    assert rc == 0
+    assert json.loads(out)["check_residual"] < 1e-12
+    rc, _, err = run(capsys, "simulate", "--ket-file", str(ket),
+                     "--state-file", str(tmp_path / "missing.json"))
+    assert rc == 3
+    assert "cannot read state file" in err
+
+
+def test_simulate_unnormalized_state_reports_norm(capsys):
+    rc, _, err = run(capsys, "simulate", "--catalog", "qubit-sic", "--state", "[1, 1]")
+    assert rc == 2
+    assert "input state must be normalized, got ||ket|| = 1.41421356237" in err
+
+
+def test_cli_imports_no_private_library_name():
+    tree = ast.parse((SRC / "naimark" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "naimark")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")  # dunders are public
+    ]
+    assert private == []

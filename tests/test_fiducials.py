@@ -14,7 +14,7 @@ from naimark import (
     sic_report,
     wh_orbit,
 )
-from naimark.fiducials import as_ket
+from naimark.fiducials import CATALOG, as_ket
 from naimark.wh import max_abs
 
 from util import rand_ket
@@ -179,3 +179,28 @@ def test_compound_sic_ququart_all_rows():
 def test_compound_sic_rejects_non_unitary():
     with pytest.raises(InvalidInputError):
         compound_sic_report(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_catalog_record_pairs_each_fiducial_with_its_completion():
+    for entry in CATALOG.values():
+        fid = builtin_fiducial(len(entry.ket), entry.label)
+        assert np.array_equal(fid.ket, entry.ket)
+        if entry.m is not None:
+            assert np.array_equal(catalog_m(entry.m_label)[0], entry.ket.conj())
+    assert sorted(e.m_label for e in CATALOG.values() if e.m is not None) == [
+        "hesse", "qubit", "ququart",
+    ]
+
+
+def test_catalog_lookups_return_copies():
+    catalog_m("qubit")[0, 0] = 99.0
+    builtin_fiducial(3, "hesse").ket[0] = 99.0
+    assert catalog_m("qubit")[0, 0] != 99.0
+    assert builtin_fiducial(3, "hesse").ket[0] == 0.0
+
+
+def test_catalog_misses():
+    with pytest.raises(CatalogMissError, match="no completion matrix"):
+        catalog_m("hesse-partner")
+    with pytest.raises(CatalogMissError, match="no fiducial"):
+        builtin_fiducial(4, "hesse")

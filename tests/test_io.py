@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from naimark import Gate, GateList, ParseError, expand
 from naimark.io import (
@@ -96,3 +98,69 @@ def test_distribution_objects():
     assert obj["probs"] == [0.5, 0.25, 0.25, 0.0]
     cobj = counts_to_obj(2, np.array([5, 3, 2, 0]))
     assert cobj["counts"] == [5, 3, 2, 0]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    d=st.integers(1, 64),
+)
+@example(data=None, rows=1, cols=2, d=1)  # signed zeros, see below
+def test_save_load_round_trip_is_bit_exact(tmp_path_factory, data, rows, cols, d):
+    shape = (rows, cols)
+    if data is None:
+        re, im = [-0.0, -0.0], [1.0, 0.0]
+    else:
+        re = data.draw(st.lists(finite_floats, min_size=rows * cols, max_size=rows * cols))
+        im = data.draw(st.lists(finite_floats, min_size=rows * cols, max_size=rows * cols))
+    a = np.empty(shape, dtype=complex)
+    a.real, a.imag = np.reshape(re, shape), np.reshape(im, shape)  # keeps -0.0 real parts
+    path = tmp_path_factory.mktemp("rt") / "m.json"
+    save_matrix(str(path), a, d=d)
+    b, d_back = load_matrix(str(path))
+    assert d_back == d
+    assert np.array_equal(a.view(float), b.view(float))  # same bits, signed zeros included
+    assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+
+def test_load_matrix_key_selects_bundle_entry(tmp_path):
+    u, m = np.eye(4), np.array([[0, 1], [1, 0]], dtype=complex)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"M": matrix_to_obj(m, 2), "U": matrix_to_obj(u, 2)}))
+    assert np.array_equal(load_matrix(str(path), "M")[0], m)
+    assert np.array_equal(load_matrix(str(path))[0], u)
+    assert np.array_equal(load_matrix(str(path), "U")[0], u)
+
+
+@pytest.mark.parametrize("key", ["U", "M", "anything"])
+def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
+    a = np.array([[1, 2j], [3, 4]])
+    path = tmp_path / "plain.json"
+    save_matrix(str(path), a, d=2)
+    b, d = load_matrix(str(path), key)
+    assert d == 2
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_matrix_entries_rejected(tmp_path, bad, part):
+    obj = matrix_to_obj(np.eye(2), 2)
+    obj[part][1][0] = bad
+    with pytest.raises(ParseError, match="non-finite"):
+        obj_to_matrix(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))  # Python writes NaN / Infinity tokens
+    with pytest.raises(ParseError, match="non-finite"):
+        load_matrix(str(path))
+
+
+def test_non_finite_u_gate_rejected():
+    gate = {"kind": "U", "wires": [0], "re": [[1, 0], [0, float("nan")]], "im": [[0, 0], [0, 0]]}
+    with pytest.raises(ParseError, match="non-finite"):
+        obj_to_gatelist({"n_qubits": 1, "gates": [gate]})
