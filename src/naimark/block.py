@@ -21,7 +21,6 @@ from .fiducials import Fiducial, as_ket
 from .wh import (
     DEFAULT_TOL,
     PHYSICAL_TOL,
-    clock_op,
     fourier,
     max_abs,
     require_normalized,
@@ -70,49 +69,73 @@ def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
+def _block_row(m: np.ndarray) -> np.ndarray:
+    """All blocks as one (d, d, d) array, S[q, s, u] = conj(F)[q, s] M[u, q]."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInputError(f"completion matrix must be square, got {m.shape}")
+    return fourier(m.shape[0]).conj()[:, :, None] * m.T[:, None, :]
+
+
+def _circulant(s: np.ndarray):
+    """Yield (row slice, block row) pairs of the block circulant with first block row s.
+
+    The layout rule, stated only here: block (r, t) is s[(t - r) mod d], so
+    block row r is block row 0 rolled r blocks to the right.
+    """
+    d = len(s)
+    row = s.transpose(1, 0, 2).reshape(d, d * d)
+    for r in range(d):
+        yield slice(r * d, (r + 1) * d), np.roll(row, r * d, axis=1)
+
+
+def _assemble(s: np.ndarray) -> np.ndarray:
+    u = np.empty((len(s) ** 2,) * 2, dtype=complex)
+    for rows, row in _circulant(s):
+        u[rows] = row
+    return u
+
+
+def _stack(blocks) -> np.ndarray:
+    """A block row given as d blocks, each d x d, as one (d, d, d) array."""
+    s = [np.asarray(b, dtype=complex) for b in blocks]
+    d = len(s)
+    if d == 0:
+        raise InvalidInputError("need at least one block")
+    if any(b.shape != (d, d) for b in s):
+        raise InvalidInputError(f"expected {d} blocks of shape ({d}, {d}), got {[b.shape for b in s]}")
+    return np.array(s)
+
+
 def rank_one_block(m: np.ndarray, k: int) -> np.ndarray:
     """Block S_k = |f_k><m_k|: outer product of column k of F^dag and column k of M.
 
     No unitarity is required here so that constraint violations of invalid
     completions can be measured.
     """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if m.shape != (d, d):
-        raise InvalidInputError(f"completion matrix must be square, got {m.shape}")
-    if not 0 <= k < d:
-        raise InvalidInputError(f"block index {k} out of range for d={d}")
-    f_dag_col = fourier(d).conj().T[:, k]
-    return np.outer(f_dag_col, m[:, k])
+    s = _block_row(m)
+    if not 0 <= k < len(s):
+        raise InvalidInputError(f"block index {k} out of range for d={len(s)}")
+    return s[k]
 
 
 def blocks_of(m: np.ndarray) -> list[np.ndarray]:
-    return [rank_one_block(m, k) for k in range(np.asarray(m).shape[0])]
+    return list(_block_row(m))
 
 
 def assemble_unitary(m: np.ndarray) -> np.ndarray:
     """Lay the rank-one blocks out block-circulantly into the full unitary."""
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
-    d = m.shape[0]
-    s = blocks_of(m)
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        for t in range(d):
-            u[r * d : (r + 1) * d, t * d : (t + 1) * d] = s[(t - r) % d]
-    return u
+    return _assemble(_block_row(m))
 
 
 def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
     """Fourier block-diagonalization blocks, U_j = F^dag Z^{-j} M^T.
 
     Equivalently U_j = sum_k w^{-jk} S_k, the block analogue of circulant
-    eigenvalues.
+    eigenvalues: one FFT of the first block row over the block index.
     """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    f_dag = fourier(d).conj().T
-    z = clock_op(d)
-    return [f_dag @ np.linalg.matrix_power(z, (d - j) % d) @ m.T for j in range(d)]
+    return list(np.fft.fft(_block_row(m), axis=0))
 
 
 def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
@@ -123,43 +146,30 @@ def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
 
 
 def reassemble_from_blocks(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Undo the block diagonalization: (F^dag x I) diag(U_0..U_{d-1}) (F x I)."""
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    d = len(blocks)
-    if d == 0:
-        raise InvalidInputError("need at least one block")
-    for b in blocks:
-        if b.shape != (d, d):
-            raise InvalidInputError(f"expected {d} blocks of shape ({d}, {d}), got {b.shape}")
-    big = np.zeros((d * d, d * d), dtype=complex)
-    for j, b in enumerate(blocks):
-        big[j * d : (j + 1) * d, j * d : (j + 1) * d] = b
-    f = fourier(d)
-    eye = np.eye(d)
-    return np.kron(f.conj().T, eye) @ big @ np.kron(f, eye)
+    """Undo the block diagonalization: (F^dag x I) diag(U_0..U_{d-1}) (F x I).
+
+    Its block (r, t) is (1/d) sum_j w^{j(t-r)} U_j, the inverse FFT of the blocks.
+    """
+    return _assemble(np.fft.ifft(_stack(blocks), axis=0))
 
 
 def block_constraint_violation(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> float:
-    """Max violation of the unitarity constraints sum_j S_j^dag S_{j+k} = delta_k0 I."""
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    d = len(blocks)
-    n = blocks[0].shape[0]
-    worst = 0.0
-    for k in range(d):
-        acc = np.zeros((n, n), dtype=complex)
-        for j in range(d):
-            acc += blocks[j].conj().T @ blocks[(j + k) % d]
-        target = np.eye(n) if k == 0 else np.zeros((n, n))
-        worst = max(worst, max_abs(acc - target))
-    return worst
+    """Max violation of the unitarity constraints sum_j S_j^dag S_{j+k} = delta_k0 I.
+
+    The left side is ifft_p(S^_p^dag S^_p) with S^ = fft(S) over the block index.
+    """
+    sh = np.fft.fft(_stack(blocks), axis=0)
+    c = np.fft.ifft(sh.conj().transpose(0, 2, 1) @ sh, axis=0)
+    c[0] -= np.eye(c.shape[1])
+    return max_abs(c)
 
 
 def extract_blocks(u: np.ndarray) -> list[np.ndarray]:
     """First block row [S_0 ... S_{d-1}] of a d^2 x d^2 matrix."""
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
+    n = u.shape[0] if u.ndim else 0
     d = int(round(np.sqrt(n)))
-    if u.shape != (n, n) or d * d != n:
+    if u.shape != (n, n) or d * d != n or n == 0:
         raise InvalidInputError(f"expected a d^2 x d^2 matrix, got shape {u.shape}")
     return [u[0:d, t * d : (t + 1) * d] for t in range(d)]
 
@@ -173,30 +183,19 @@ def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
     max-norm residuals; `recovered_m` is the completion matrix implied by U.
     """
     u = np.asarray(u, dtype=complex)
-    s = extract_blocks(u)
+    s = np.array(extract_blocks(u))
     d = len(s)
+    if m is not None and np.shape(m) != (d, d):
+        raise InvalidInputError(f"completion matrix must be {d} x {d} to match U, got {np.shape(m)}")
     report: dict = {"d": d, "unitarity": unitarity_residual(u)}
-    circ = 0.0
-    for r in range(d):
-        for t in range(d):
-            circ = max(circ, max_abs(u[r * d : (r + 1) * d, t * d : (t + 1) * d] - s[(t - r) % d]))
-    report["block_circulant"] = circ
-
+    report["block_circulant"] = max(max_abs(u[rows] - row) for rows, row in _circulant(s))
     # Each block must equal |f_q><f_q| S_q; the surviving bra is a row of M^T.
-    f_dag = fourier(d).conj().T
-    m_rec = np.zeros((d, d), dtype=complex)
-    rank_one = 0.0
-    for q in range(d):
-        f_col = f_dag[:, q]
-        m_row = f_col.conj() @ s[q]
-        rank_one = max(rank_one, max_abs(s[q] - np.outer(f_col, m_row)))
-        m_rec[:, q] = m_row
-    report["block_rank_one"] = rank_one
+    f = fourier(d)
+    m_rec = np.stack([f[q] @ s[q] for q in range(d)], axis=1)
+    report["block_rank_one"] = max_abs(s - _block_row(m_rec))
     report["recovered_m"] = m_rec
     report["recovered_m_unitarity"] = unitarity_residual(m_rec)
     report["block_constraints"] = block_constraint_violation(s)
-
     if m is not None:
-        m = np.asarray(m, dtype=complex)
-        report["m_match"] = max_abs(m_rec - m)
+        report["m_match"] = max_abs(m_rec - np.asarray(m, dtype=complex))
     return report

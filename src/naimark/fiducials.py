@@ -243,7 +243,7 @@ def sic_report(phi: Fiducial | np.ndarray) -> float:
     return max_abs(np.abs(chi) ** 2 - target)
 
 
-def compound_sic_report(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[float]:
+def compound_sic_report(m: np.ndarray, tol: float = PHYSICAL_TOL) -> list[float]:
     """SIC deviation of each row of a unitary, rows conjugated to kets."""
-    m = require_unitary(m, tol=max(tol, PHYSICAL_TOL), what="compound-SIC matrix")
+    m = require_unitary(m, tol=tol, what="compound-SIC matrix")
     return [sic_report(m[i].conj()) for i in range(m.shape[0])]

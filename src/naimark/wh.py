@@ -122,12 +122,12 @@ def bell_change_of_basis(d: int) -> np.ndarray:
     """Unitary mapping the generalized Bell basis to the computational basis.
 
     Row j*d + k is the conjugate transpose of bell_vector(d, j, k), so the
-    matrix sends |D(j,k)> to |j,k>.
+    matrix sends |D(j,k)> to |j,k>: its entry at column (j+l mod d)*d + l is
+    w^{-kl} / sqrt(d), and every other entry is zero.
     """
     if d < 2:
         raise InvalidDimensionError(f"Bell change of basis needs d >= 2, got {d}")
+    j, k, ell = np.ogrid[:d, :d, :d]
     out = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            out[j * d + k, :] = bell_vector(d, j, k).conj()
-    return out
+    out[j * d + k, ((j + ell) % d) * d + ell] = _phases(k * ell, d) / np.sqrt(d)
+    return np.conj(out, out=out)

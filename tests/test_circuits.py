@@ -3,6 +3,8 @@ and the complete measurement circuit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naimark import (
     Gate,
@@ -234,3 +236,26 @@ def test_full_circuit_is_preparation_then_bell_rotation():
     assert [(g.kind, g.wires, g.k, g.dagger) for g in circ.gates[1:]] == [
         (g.kind, g.wires, g.k, g.dagger) for g in bell_rotation_circuit(1).gates
     ]
+
+
+@st.composite
+def gate_lists(draw):
+    """Random H, R, CR, SWAP and U gates, with and without dagger, on 1..3 wires."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["H", "R", "U"] + (["CR", "SWAP"] if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        arity = {"H": 1, "R": 1, "CR": 2, "SWAP": 2}.get(kind) or draw(st.integers(1, min(2, n)))
+        wires = tuple(int(w) for w in rng.permutation(n)[:arity])
+        k = draw(st.integers(1, 4)) if kind in ("R", "CR") else None
+        matrix = rand_unitary(2**arity, rng) if kind == "U" else None
+        gates.append(Gate(kind, wires, k=k, dagger=draw(st.booleans()), matrix=matrix))
+    return GateList(n, gates)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gate_lists())
+def test_inverse_composes_to_identity(circ):
+    prod = expand(circ.inverse()) @ expand(circ)
+    assert max_abs(prod - np.eye(2**circ.n_qubits)) < 1e-12

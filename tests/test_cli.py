@@ -348,3 +348,14 @@ def test_cli_imports_no_private_library_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")  # dunders are public
     ]
     assert private == []
+
+
+def test_verify_with_a_completion_of_the_wrong_size_exits_2(tmp_path):
+    u_path, m_path = tmp_path / "hesse.json", tmp_path / "qubit_m.json"
+    save_matrix(str(u_path), expected_hesse_u(), d=3)
+    save_matrix(str(m_path), catalog_m("qubit"), d=2)
+    proc = run_cli("verify", "--u", str(u_path), "--m", str(m_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "3 x 3" in proc.stderr

@@ -204,3 +204,13 @@ def test_catalog_misses():
         catalog_m("hesse-partner")
     with pytest.raises(CatalogMissError, match="no fiducial"):
         builtin_fiducial(4, "hesse")
+
+
+def test_compound_sic_honours_a_tighter_tolerance():
+    m = catalog_m("hesse").copy()
+    m[0, 1] += 3e-11
+    resid = max_abs(m.conj().T @ m - np.eye(3))
+    assert 1e-13 < resid < 1e-10
+    assert len(compound_sic_report(m)) == 3  # the default stays PHYSICAL_TOL
+    with pytest.raises(InvalidInputError, match="not unitary"):
+        compound_sic_report(m, tol=1e-13)

@@ -175,3 +175,9 @@ def test_bell_change_of_basis_matches_circuit_decomposition():
     # cross-module oracle: controlled shift followed by the Fourier rotation
     for d in (2, 3):
         assert max_abs(bell_change_of_basis(d) - shift_decomposition(d)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_bell_change_of_basis_rows_are_conjugated_bell_vectors(d):
+    rows = np.array([bell_vector(d, j, k).conj() for j in range(d) for k in range(d)])
+    assert np.array_equal(bell_change_of_basis(d), rows)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from naimark.wh import displacement
+from naimark.wh import clock_op, displacement, fourier, max_abs, unitarity_residual
 
 
 def rand_unitary(d, rng):
@@ -76,6 +76,87 @@ def dense_tomography(phi, probs, gram=None):
     x = np.linalg.solve(gram, probs)
     rho = np.tensordot(x, dense_elements(phi), axes=1)
     return (rho + rho.conj().T) / 2, eigs[-1] / eigs[0]
+
+
+# Loop oracles for the block layer.  The library lays U out with one
+# block-row roll and block-diagonalizes it with one FFT over the block index;
+# these are the index loops, matrix powers and Kronecker products it once used.
+
+
+def loop_blocks(m):
+    """S_k = outer(column k of F^dag, column k of M), one block at a time."""
+    d = m.shape[0]
+    f_dag = fourier(d).conj().T
+    return [np.outer(f_dag[:, k], m[:, k]) for k in range(d)]
+
+
+def loop_layout(s):
+    """Block circulant with block (r, t) = s[(t - r) % d], filled block by block."""
+    d, n = len(s), s[0].shape[0]
+    u = np.zeros((d * n, d * n), dtype=complex)
+    for r in range(d):
+        for t in range(d):
+            u[r * n : (r + 1) * n, t * n : (t + 1) * n] = s[(t - r) % d]
+    return u
+
+
+def power_diagonal_blocks(m):
+    """U_j = F^dag Z^{-j} M^T by matrix powers of the clock."""
+    d = m.shape[0]
+    f_dag, z = fourier(d).conj().T, clock_op(d)
+    return [f_dag @ np.linalg.matrix_power(z, (d - j) % d) @ m.T for j in range(d)]
+
+
+def kron_reassemble(blocks):
+    """(F^dag x I) diag(U_0 .. U_{d-1}) (F x I) as dense products."""
+    d = len(blocks)
+    big = np.zeros((d * d, d * d), dtype=complex)
+    for j, b in enumerate(blocks):
+        big[j * d : (j + 1) * d, j * d : (j + 1) * d] = b
+    f, eye = fourier(d), np.eye(d)
+    return np.kron(f.conj().T, eye) @ big @ np.kron(f, eye)
+
+
+def loop_block_constraints(blocks):
+    """max_k || sum_j S_j^dag S_{j+k} - delta_k0 I ||_max by a double loop."""
+    d, n = len(blocks), blocks[0].shape[0]
+    worst = 0.0
+    for k in range(d):
+        acc = np.zeros((n, n), dtype=complex)
+        for j in range(d):
+            acc += blocks[j].conj().T @ blocks[(j + k) % d]
+        worst = max(worst, max_abs(acc - (np.eye(n) if k == 0 else 0)))
+    return worst
+
+
+def loop_structure_report(u, m=None):
+    """Every structure_report field, block by block."""
+    d = int(round(np.sqrt(u.shape[0])))
+    s = [u[0:d, t * d : (t + 1) * d] for t in range(d)]
+    circ = 0.0
+    for r in range(d):
+        for t in range(d):
+            circ = max(circ, max_abs(u[r * d : (r + 1) * d, t * d : (t + 1) * d] - s[(t - r) % d]))
+    f_dag = fourier(d).conj().T
+    m_rec = np.zeros((d, d), dtype=complex)
+    rank_one = 0.0
+    for q in range(d):
+        f_col = f_dag[:, q]
+        m_row = f_col.conj() @ s[q]
+        rank_one = max(rank_one, max_abs(s[q] - np.outer(f_col, m_row)))
+        m_rec[:, q] = m_row
+    report = {
+        "d": d,
+        "unitarity": unitarity_residual(u),
+        "block_circulant": circ,
+        "block_rank_one": rank_one,
+        "recovered_m": m_rec,
+        "recovered_m_unitarity": unitarity_residual(m_rec),
+        "block_constraints": loop_block_constraints(s),
+    }
+    if m is not None:
+        report["m_match"] = max_abs(m_rec - m)
+    return report
 
 
 def qubit_fiducial_components():
