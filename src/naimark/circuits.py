@@ -9,6 +9,12 @@ therefore reversed when flattened into a list.
 Two-register circuits put the target qudit on wires 0..n-1 (first tensor
 factor) and the control qudit on wires n..2n-1, matching the closed forms
 sum_m Z^m x |m><m| and sum_m X^m x |m><m|.
+
+Gate lists are simulated on a state tensor of shape (2,)*n + (k,), one axis
+per wire plus a batch of k columns, in O(gates * 2**n * k) with no 2**n x 2**n
+gate matrix (`apply_circuit`); `expand` applies the gates to the identity's
+columns.  On |psi> embedded at ancilla index i, the full measurement circuit
+gives the outcome amplitudes directly.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ class Gate:
     def local_matrix(self) -> np.ndarray:
         """The gate's unitary on its own wires (first listed wire = MSB)."""
         if self.kind == "H":
-            return _H
+            return _H.copy()
         if self.kind == "SWAP":
             return _SWAP.copy()
         if self.kind in ("R", "CR"):
@@ -119,34 +125,56 @@ class GateList:
         return GateList(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 
 
-def _embed_gate(mat: np.ndarray, wires: tuple[int, ...], n: int) -> np.ndarray:
-    m = len(wires)
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        sub_in = 0
-        for i, w in enumerate(wires):
-            sub_in |= ((col >> (n - 1 - w)) & 1) << (m - 1 - i)
-        base = col
+def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
+    """The gate list applied, in list order, to one 2**n state vector or to each
+    column of a (2**n, k) batch; returns a new array of the same shape.
+
+    The states are held as a tensor of shape (2,)*n + (k,).  R and CR scale one
+    slice by their phase, SWAP relabels two axes, one-wire H and U gates mix
+    the wire's two slices, and U gates on more wires are contracted with their
+    wires' axes, so no 2**n x 2**n gate matrix is formed.
+    """
+    n = circuit.n_qubits
+    shape = np.shape(states)
+    if len(shape) not in (1, 2) or shape[0] != 2**n:
+        raise InvalidInputError(
+            f"states for {n} qubits must have shape ({2**n},) or ({2**n}, k), got {shape}"
+        )
+    t = np.array(states, dtype=complex).reshape((2,) * n + (1 if len(shape) == 1 else shape[1],))
+    axis = list(range(n))  # axis[w] is the tensor axis that holds wire w
+
+    def part(wires, bit):
+        """The slice of t where each of the wires holds the bit."""
+        index = [slice(None)] * (n + 1)
         for w in wires:
-            base &= ~(1 << (n - 1 - w))
-        for sub_out in range(2**m):
-            amp = mat[sub_out, sub_in]
-            if amp == 0:
-                continue
-            row = base
-            for i, w in enumerate(wires):
-                row |= ((sub_out >> (m - 1 - i)) & 1) << (n - 1 - w)
-            out[row, col] += amp
-    return out
+            index[axis[w]] = bit
+        return t[tuple(index)]
+
+    for g in circuit.gates:
+        if g.kind == "SWAP":
+            a, b = g.wires
+            axis[a], axis[b] = axis[b], axis[a]
+        elif g.kind in ("R", "CR"):
+            part(g.wires, 1)[...] *= g.local_matrix()[-1, -1]
+        elif len(g.wires) == 1:
+            (u00, u01), (u10, u11) = g.local_matrix()
+            t0, t1 = part(g.wires, 0), part(g.wires, 1)
+            new0 = u00 * t0 + u01 * t1
+            t1 *= u11
+            t1 += u10 * t0
+            t0[...] = new0
+        else:
+            m = len(g.wires)
+            gate = g.local_matrix().reshape((2,) * (2 * m))
+            targets = [axis[w] for w in g.wires]
+            t = np.tensordot(gate, t, axes=(range(m, 2 * m), targets))
+            t = np.moveaxis(t, range(m), targets)  # tensordot put the gate's axes first
+    return np.transpose(t, axis + [n]).reshape(shape)
 
 
 def expand(circuit: GateList) -> np.ndarray:
-    """Full 2**n x 2**n unitary of a gate list, gates applied in list order."""
-    total = np.eye(2**circuit.n_qubits, dtype=complex)
-    for g in circuit.gates:
-        total = _embed_gate(g.local_matrix(), g.wires, circuit.n_qubits) @ total
-    return total
+    """Full 2**n x 2**n unitary of a gate list: the gates applied to the identity's columns."""
+    return apply_circuit(circuit, np.eye(2**circuit.n_qubits))
 
 
 def _phase_ladder(n: int, wires: list[int]) -> list[Gate]:

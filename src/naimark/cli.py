@@ -45,6 +45,7 @@ from .io import (
     counts_to_obj,
     distribution_to_obj,
     gatelist_to_obj,
+    load_matrices,
     load_matrix,
     matrix_to_obj,
 )
@@ -55,6 +56,7 @@ from .wh import (
     fourier,
     max_abs,
     require_normalized,
+    require_unitary,
     unitarity_residual,
 )
 
@@ -180,10 +182,11 @@ _VERIFY_CHECKS = (
 
 def cmd_verify(args) -> int:
     tol = _default_tol(args)
-    u, d = load_matrix(args.u)
-    m = None
-    if args.m:
-        m, _ = load_matrix(args.m, "M")
+    if args.m == args.u:  # one bundle (build output) holds both: parse it once
+        (u, d), (m, _) = load_matrices(args.u, "U", "M")
+    else:
+        u, d = load_matrix(args.u)
+        m = load_matrix(args.m, "M")[0] if args.m else None
     report = structure_report(u, m)
     if report["d"] != d:
         print(f"warning: file says d={d} but U is {u.shape[0]}x{u.shape[1]}", file=sys.stderr)
@@ -237,7 +240,21 @@ def cmd_simulate(args) -> int:
     return rc
 
 
-_CIRCUIT_TARGETS = ("cz", "cx", "fourier", "bell", "naimark")
+# Each target's gate list and the dense closed form its expansion must match.  The bell
+# forms use inverse powers; the conjugate of the diagonal clock form is
+# sum_m Z^m x |m><m|, the transpose of the real shift form sum_m X^m x |m><m|.
+_CIRCUITS = {
+    "cz": (cz_qudit_circuit, lambda d: controlled_clock(d).conj()),
+    "cx": (cx_qudit_circuit, lambda d: controlled_shift(d).conj().T),
+    "fourier": (qudit_fourier_circuit, fourier),
+    "bell": (bell_rotation_circuit, bell_change_of_basis),
+}
+_CIRCUIT_TARGETS = (*_CIRCUITS, "naimark")
+# cz alone emits n * (2**n - 1) gates: 10,230 at n = 10.
+_MAX_CIRCUIT_N = 10
+# --expand writes 4**n entries for a two-register circuit: at n = 5 a 1024 x 1024
+# matrix, about 2M floats of JSON.
+_MAX_EXPAND_N = 5
 
 
 def cmd_circuit(args) -> int:
@@ -245,22 +262,13 @@ def cmd_circuit(args) -> int:
     n = args.n
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
+    limit = _MAX_EXPAND_N if args.expand else _MAX_CIRCUIT_N
+    if n > limit:
+        flag = " with --expand" if args.expand else ""
+        raise InvalidInputError(f"need n <= {limit}{flag}, got {n}")
     d = 2**n
-    # The bell forms use inverse powers; the conjugate of the diagonal clock form is
-    # sum_m Z^m x |m><m|, the transpose of the real shift form sum_m X^m x |m><m|.
-    if args.target == "cz":
-        circ = cz_qudit_circuit(n)
-        closed_form = controlled_clock(d).conj()
-    elif args.target == "cx":
-        circ = cx_qudit_circuit(n)
-        closed_form = controlled_shift(d).conj().T
-    elif args.target == "fourier":
-        circ = qudit_fourier_circuit(n)
-        closed_form = fourier(d)
-    elif args.target == "bell":
-        circ = bell_rotation_circuit(n)
-        closed_form = bell_change_of_basis(d)
-    else:
+    m = None
+    if args.target == "naimark":
         if not args.m:
             raise InvalidInputError("circuit naimark needs --m FILE")
         m, _ = load_matrix(args.m, "M")
@@ -268,14 +276,16 @@ def cmd_circuit(args) -> int:
             raise UnsupportedDimensionError(
                 f"completion matrix is {m.shape[0]}x{m.shape[1]}; qubit synthesis needs d = 2**n = {d}"
             )
-        circ = full_naimark_circuit(m, n)
-        closed_form = build_bell_naimark(m).U
+        circ = full_naimark_circuit(require_unitary(m, PHYSICAL_TOL, "completion matrix M"), n)
+    else:
+        circ = _CIRCUITS[args.target][0](n)
 
     out = gatelist_to_obj(circ)
     out["target"] = args.target
     rc = 0
     if args.expand:
         mat = expand(circ)
+        closed_form = build_bell_naimark(m).U if m is not None else _CIRCUITS[args.target][1](d)
         residual = max_abs(mat - closed_form)
         out["expanded"] = matrix_to_obj(mat, d)
         out["closed_form_residual"] = residual

@@ -71,16 +71,21 @@ def save_matrix(path: str, a: np.ndarray, d: int) -> None:
         fh.write("\n")
 
 
-def load_matrix(path: str, key: str = "U") -> tuple[np.ndarray, int]:
-    """Read a matrix file; from a bundle (such as build output), take its `key` entry."""
+def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
+    """Read a matrix file once and take one matrix per key: from a bundle (such as
+    build output) its `key` entry, from a plain matrix file the matrix itself."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-    if isinstance(obj, dict) and "re" not in obj and key in obj:
-        obj = obj[key]
-    return obj_to_matrix(obj)
+    bundle = isinstance(obj, dict) and "re" not in obj
+    return [obj_to_matrix(obj[key] if bundle and key in obj else obj) for key in keys]
+
+
+def load_matrix(path: str, key: str = "U") -> tuple[np.ndarray, int]:
+    """Read a matrix file; from a bundle (such as build output), take its `key` entry."""
+    return load_matrices(path, key)[0]
 
 
 def gate_to_obj(g: Gate) -> dict:

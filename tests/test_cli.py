@@ -359,3 +359,74 @@ def test_verify_with_a_completion_of_the_wrong_size_exits_2(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and "3 x 3" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circuit", "cz", "--n", "11"],
+        ["circuit", "cx", "--n", "40"],
+        ["circuit", "bell", "--n", "6", "--expand"],
+        ["circuit", "naimark", "--n", "11", "--m", "no-such-file.json"],
+    ],
+)
+def test_circuit_n_above_its_cap_exits_2_before_building(capsys, monkeypatch, argv):
+    import naimark.cli as cli
+
+    def boom(*_):
+        raise AssertionError("built a circuit above the cap")
+
+    for target, (_, closed_form) in cli._CIRCUITS.items():
+        monkeypatch.setitem(cli._CIRCUITS, target, (boom, closed_form))
+    monkeypatch.setattr(cli, "full_naimark_circuit", boom)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: need n <= ")
+
+
+@pytest.mark.parametrize("argv", [["fourier", "--n", "10"], ["fourier", "--n", "5", "--expand"]])
+def test_circuit_n_at_its_cap_is_accepted(capsys, argv):
+    rc, out, _ = run(capsys, "circuit", *argv)
+    assert rc == 0
+    assert json.loads(out)["n_qubits"] == int(argv[2])
+
+
+def test_circuit_without_expand_builds_no_closed_form(capsys, monkeypatch, tmp_path):
+    import naimark.cli as cli
+
+    def boom(*_):
+        raise AssertionError("built a dense closed form without --expand")
+
+    for name in ("controlled_clock", "controlled_shift", "build_bell_naimark"):
+        monkeypatch.setattr(cli, name, boom)
+    for target, (build, _) in cli._CIRCUITS.items():
+        monkeypatch.setitem(cli._CIRCUITS, target, (build, boom))
+    for target in ("cz", "cx", "fourier", "bell"):
+        assert run(capsys, "circuit", target, "--n", "2")[0] == 0
+    path = tmp_path / "m.json"
+    save_matrix(str(path), catalog_m("ququart"), d=4)
+    assert run(capsys, "circuit", "naimark", "--n", "2", "--m", str(path))[0] == 0
+
+
+def test_circuit_naimark_still_rejects_a_non_unitary_m(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    save_matrix(str(path), catalog_m("ququart") * 1.01, d=4)
+    rc, out, err = run(capsys, "circuit", "naimark", "--n", "2", "--m", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "completion matrix M is not unitary" in err
+
+
+def test_verify_parses_a_shared_bundle_once(capsys, monkeypatch, tmp_path):
+    import naimark.io
+
+    path, copy = tmp_path / "hesse.json", tmp_path / "copy.json"
+    run(capsys, "build", "--catalog", "hesse", "--out", str(path))
+    copy.write_text(path.read_text())
+    expected = run(capsys, "verify", "--u", str(path), "--m", str(copy))
+    loads = []
+    real_load = naimark.io.json.load
+    monkeypatch.setattr(naimark.io.json, "load", lambda fh: loads.append(fh.name) or real_load(fh))
+    assert run(capsys, "verify", "--u", str(path), "--m", str(path)) == expected
+    assert loads == [str(path)]

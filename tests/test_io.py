@@ -12,6 +12,7 @@ from naimark.io import (
     counts_to_obj,
     distribution_to_obj,
     gatelist_to_obj,
+    load_matrices,
     load_matrix,
     matrix_to_obj,
     obj_to_gatelist,
@@ -135,6 +136,8 @@ def test_load_matrix_key_selects_bundle_entry(tmp_path):
     assert np.array_equal(load_matrix(str(path), "M")[0], m)
     assert np.array_equal(load_matrix(str(path))[0], u)
     assert np.array_equal(load_matrix(str(path), "U")[0], u)
+    (u2, d_u), (m2, d_m) = load_matrices(str(path), "U", "M")
+    assert np.array_equal(u2, u) and np.array_equal(m2, m) and d_u == d_m == 2
 
 
 @pytest.mark.parametrize("key", ["U", "M", "anything"])
@@ -145,6 +148,7 @@ def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
     b, d = load_matrix(str(path), key)
     assert d == 2
     assert np.array_equal(a, b)
+    assert all(np.array_equal(a, c) for c, _ in load_matrices(str(path), key, "U"))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -159,6 +159,42 @@ def loop_structure_report(u, m=None):
     return report
 
 
+# Loop oracle for the circuit layer.  The library applies each gate to a
+# (2,)*n state tensor; this embeds every gate as a dense 2**n x 2**n matrix,
+# one column at a time, and multiplies the matrices, as the library once did.
+
+
+def loop_embed_gate(mat, wires, n):
+    """The gate's local matrix on `wires` (first wire = MSB) embedded among n wires."""
+    m = len(wires)
+    dim = 2**n
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        sub_in = 0
+        for i, w in enumerate(wires):
+            sub_in |= ((col >> (n - 1 - w)) & 1) << (m - 1 - i)
+        base = col
+        for w in wires:
+            base &= ~(1 << (n - 1 - w))
+        for sub_out in range(2**m):
+            amp = mat[sub_out, sub_in]
+            if amp == 0:
+                continue
+            row = base
+            for i, w in enumerate(wires):
+                row |= ((sub_out >> (m - 1 - i)) & 1) << (n - 1 - w)
+            out[row, col] += amp
+    return out
+
+
+def loop_expand(circuit):
+    """Product of the embedded gate matrices, gates applied in list order."""
+    total = np.eye(2**circuit.n_qubits, dtype=complex)
+    for g in circuit.gates:
+        total = loop_embed_gate(g.local_matrix(), g.wires, circuit.n_qubits) @ total
+    return total
+
+
 def qubit_fiducial_components():
     return (
         np.sqrt(3 + np.sqrt(3)) / np.sqrt(6),
