@@ -38,7 +38,7 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One abstract gate: H, phase R(k), controlled phase CR(k), SWAP, or an
-    opaque unitary U given by an explicit matrix.
+    opaque unitary U given by an explicit matrix, unitary to PHYSICAL_TOL.
 
     R(k) puts the phase exp(2*pi*i / 2**k) on |1>; `dagger` conjugates the
     phase (and, for U, takes the adjoint of the matrix).
@@ -73,9 +73,18 @@ class Gate:
                 raise InvalidCircuitError(
                     f"U on {len(wires)} wire(s) needs a {dim}x{dim} matrix, got {mat.shape}"
                 )
+            mat = wh.require_unitary(mat, wh.PHYSICAL_TOL, "U-gate matrix")
             object.__setattr__(self, "matrix", mat)
         else:
             raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")
+
+    @property
+    def phase(self) -> complex:
+        """The phase R(k) puts on |1> and CR(k) on |11>: exp(+-2*pi*i / 2**k)."""
+        if self.kind not in ("R", "CR"):
+            raise InvalidCircuitError(f"{self.kind} gates carry no phase")
+        sign = -1.0 if self.dagger else 1.0
+        return np.exp(sign * 2j * np.pi / 2**self.k)
 
     def local_matrix(self) -> np.ndarray:
         """The gate's unitary on its own wires (first listed wire = MSB)."""
@@ -84,9 +93,7 @@ class Gate:
         if self.kind == "SWAP":
             return _SWAP.copy()
         if self.kind in ("R", "CR"):
-            sign = -1.0 if self.dagger else 1.0
-            phase = np.exp(sign * 2j * np.pi / 2**self.k)
-            diag = [1, phase] if self.kind == "R" else [1, 1, 1, phase]
+            diag = [1, self.phase] if self.kind == "R" else [1, 1, 1, self.phase]
             return np.diag(diag).astype(complex)
         mat = self.matrix
         return mat.conj().T if self.dagger else mat.copy()
@@ -109,7 +116,7 @@ class GateList:
         if self.n_qubits < 1:
             raise InvalidCircuitError(f"need at least one qubit, got {self.n_qubits}")
         for g in self.gates:
-            if any(w >= self.n_qubits for w in g.wires):
+            if g.wires and max(g.wires) >= self.n_qubits:
                 raise InvalidCircuitError(
                     f"gate {g.kind} on wires {g.wires} exceeds {self.n_qubits} qubits"
                 )
@@ -155,7 +162,7 @@ def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
             a, b = g.wires
             axis[a], axis[b] = axis[b], axis[a]
         elif g.kind in ("R", "CR"):
-            part(g.wires, 1)[...] *= g.local_matrix()[-1, -1]
+            part(g.wires, 1)[...] *= g.phase
         elif len(g.wires) == 1:
             (u00, u01), (u10, u11) = g.local_matrix()
             t0, t1 = part(g.wires, 0), part(g.wires, 1)

@@ -44,6 +44,7 @@ from .fiducials import (
 from .io import (
     counts_to_obj,
     distribution_to_obj,
+    dumps,
     gatelist_to_obj,
     load_matrices,
     load_matrix,
@@ -78,7 +79,7 @@ def _default_tol(args) -> float:
 
 def _emit(obj: dict, out: str | None) -> None:
     try:
-        text = json.dumps(obj, indent=2, allow_nan=False)
+        text = dumps(obj)
     except ValueError:
         raise NumericalFailureError("result has non-finite values (NaN or Inf)") from None
     if out:

@@ -12,16 +12,113 @@ the round trip bit-exact.  Circuit files are
 where gates appear in application order (first element applied first), R/CR
 carry "k" and an optional "dagger" flag for conjugated phases, and opaque "U"
 gates carry their matrix as "re"/"im" arrays.
+
+Command output is written by `dumps`, whose text is, byte for byte, what
+Python's json module writes with indent 2 and NaN/Inf refused.  A list of floats,
+or a rectangular list of float rows, is formatted in bulk: each distinct bit
+pattern is formatted once by `float.__repr__` and the rows are gathered from
+those strings.  That pays because U is block circulant: every block row is the
+first one rolled, so its d**4 entries hold at most d**3 distinct values.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .circuits import Gate, GateList
 from .errors import ParseError
+
+
+# json's own encoder for scalars: what json.dumps runs with allow_nan=False.
+_SCALAR = json.JSONEncoder(allow_nan=False)
+
+
+def dumps(obj) -> str:
+    """The text json.dumps writes for obj with indent 2 and allow_nan=False,
+    byte for byte.
+
+    NaN and Inf raise ValueError, and unsupported types or keys TypeError,
+    before any text is returned.
+    """
+    out: list[str] = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+def _write(o, level: int, out: list[str]) -> None:
+    """Append the text of o, nested level deep, to out."""
+    indent = "\n" + "  " * level
+    inner = indent + "  "
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in o.items():
+            out += (sep, _key(k), ": ")
+            _write(v, level + 1, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        if not _write_floats(o, inner, out):
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                _write(v, level + 1, out)
+                sep = "," + inner
+        out.append(indent + "]")
+    elif type(o) is int:  # what json writes for an int, without its encoder's 1 us per call
+        out.append(int.__repr__(o))
+    else:
+        out.append(_SCALAR.encode(o))
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _SCALAR.encode(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return _SCALAR.encode(_SCALAR.encode(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write_floats(o, inner: str, out: list[str]) -> bool:
+    """Append the text of o, less its closing bracket, if o is a list of floats or
+    a rectangular list of float rows; inner is the newline and indent of its items."""
+    if set(map(type, o)) == {float}:
+        out.append("[" + inner + ("," + inner).join(_float_reprs(o)))
+        return True
+    width = len(o[0]) if type(o[0]) is list else 0
+    if not (width and set(map(type, o)) == {list} and set(map(len, o)) == {width}):
+        return False
+    flat = list(chain.from_iterable(o))
+    if set(map(type, flat)) != {float}:
+        return False
+    reprs = _float_reprs(flat)
+    row_inner = inner + "  "
+    sep = "[" + inner
+    for start in range(0, len(reprs), width):
+        row = ("," + row_inner).join(reprs[start : start + width])
+        out.append(f"{sep}[{row_inner}{row}{inner}]")
+        sep = "," + inner
+    return True
+
+
+def _float_reprs(values: list) -> list[str]:
+    """float.__repr__ of each value, called once per distinct bit pattern (so -0.0 and
+    0.0 stay apart)."""
+    a = np.array(values, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        _SCALAR.encode(values[int(np.argmin(finite))])  # raises json's ValueError
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    reprs = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return reprs[inverse].tolist()
 
 
 def matrix_to_obj(a: np.ndarray, d: int) -> dict:

@@ -115,3 +115,15 @@ def test_kernel_leaves_gate_matrices_unchanged():
     expand(GateList(2, gates))
     assert np.array_equal(gates[0].matrix, kept) and np.array_equal(gates[1].matrix, kept)
     assert np.array_equal(gates[2].local_matrix(), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("kind, wires", [("R", (0,)), ("CR", (0, 1))])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("dagger", [False, True])
+def test_phase_is_the_last_entry_of_the_local_matrix(kind, wires, k, dagger):
+    gate = Gate(kind, wires, k=k, dagger=dagger)
+    mat = gate.local_matrix()
+    assert mat[-1, -1] == gate.phase
+    assert np.array_equal(mat, np.diag(np.diag(mat)))
+    assert np.all(np.diag(mat)[:-1] == 1)
+    assert gate.phase == np.exp((-1 if dagger else 1) * 2j * np.pi / 2**k)

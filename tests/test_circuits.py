@@ -88,6 +88,15 @@ class TestExpand:
         with pytest.raises(InvalidCircuitError):
             Gate("U", (0, 1), matrix=np.eye(2))
 
+    @pytest.mark.parametrize("matrix", [np.ones((2, 2)), 1.01 * np.eye(2), np.diag([1, np.nan])])
+    def test_non_unitary_u_gate_rejected(self, matrix):
+        with pytest.raises(InvalidInputError, match="U-gate matrix is not unitary"):
+            Gate("U", (0,), matrix=matrix)
+
+    def test_full_circuit_rejects_a_non_unitary_m(self):
+        with pytest.raises(InvalidInputError, match="not unitary"):
+            full_naimark_circuit(2 * np.eye(2), 1)
+
     def test_wire_bounds_checked(self):
         with pytest.raises(InvalidCircuitError):
             GateList(1, (Gate("H", (1,)),))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naimark import Gate, GateList, ParseError, expand
+from naimark import Gate, GateList, InvalidInputError, ParseError, expand
 from naimark.io import (
     counts_to_obj,
     distribution_to_obj,
@@ -15,6 +15,7 @@ from naimark.io import (
     load_matrices,
     load_matrix,
     matrix_to_obj,
+    obj_to_gate,
     obj_to_gatelist,
     obj_to_matrix,
     save_matrix,
@@ -90,6 +91,14 @@ def test_malformed_gatelist_rejected():
         obj_to_gatelist({"gates": []})
     with pytest.raises(ParseError):
         obj_to_gatelist({"n_qubits": 1, "gates": [{"kind": "U", "wires": [0]}]})
+
+
+def test_non_unitary_u_gate_rejected():
+    gate = {"kind": "U", "wires": [0], "re": [[1, 1], [1, 1]], "im": [[0, 0], [0, 0]]}
+    with pytest.raises(InvalidInputError, match="not unitary"):
+        obj_to_gate(gate)
+    with pytest.raises(ParseError, match="not unitary"):
+        obj_to_gatelist({"n_qubits": 1, "gates": [gate]})
 
 
 def test_distribution_objects():
