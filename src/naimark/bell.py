@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block import NaimarkExtension
+from .block import PROVENANCE, NaimarkExtension
 from .errors import InvalidInputError
 from .fiducials import Fiducial
+from .simulate import require_index
 from .wh import (
     PHYSICAL_TOL,
     bell_change_of_basis,
@@ -33,7 +34,7 @@ def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
     u = bell_change_of_basis(d) @ np.kron(np.eye(d), m.T)
-    return NaimarkExtension(d=d, M=m, U=u, provenance="bell-construction")
+    return NaimarkExtension(d=d, M=m, U=u, provenance=PROVENANCE["bell"])
 
 
 def matrix_element(m: np.ndarray, r: int, s: int, t: int, u: int) -> complex:
@@ -99,6 +100,5 @@ def fiducial_for_embedding(m: np.ndarray, i: int) -> Fiducial:
     """
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
-    if not 0 <= i < d:
-        raise InvalidInputError(f"embedding index {i} out of range for d={d}")
+    require_index(i, d)
     return Fiducial(dim=d, ket=m[i].conj(), label=f"embedding-{i}")

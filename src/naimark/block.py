@@ -29,6 +29,11 @@ from .wh import (
 )
 
 
+# The provenance tag of each route's extension, keyed by route name.  Both
+# routes define the same U; the tag only records which one built it.
+PROVENANCE = {"block": "block-construction", "bell": "bell-construction"}
+
+
 @dataclass(frozen=True, eq=False)
 class NaimarkExtension:
     """Bundle of a completion matrix M, the full unitary U, and the route taken."""
@@ -142,7 +147,7 @@ def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
     """Full extension bundle via the block-circulant layout."""
     u = assemble_unitary(m)
     m = np.asarray(m, dtype=complex)
-    return NaimarkExtension(d=m.shape[0], M=m, U=u, provenance="block-construction")
+    return NaimarkExtension(d=m.shape[0], M=m, U=u, provenance=PROVENANCE["block"])
 
 
 def reassemble_from_blocks(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:

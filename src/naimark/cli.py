@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bell import build_bell_naimark, controlled_clock, controlled_shift, fiducial_for_embedding
-from .block import build_block_naimark, complete_unitary, structure_report
+from .block import PROVENANCE, build_block_naimark, complete_unitary, structure_report
 from .circuits import (
     bell_rotation_circuit,
     cx_qudit_circuit,
@@ -134,17 +134,11 @@ def _completion_for(fid: Fiducial) -> tuple[np.ndarray, str]:
     return complete_unitary(fid), "completed"
 
 
-def _build_extension(m: np.ndarray, construction: str):
-    if construction == "bell":
-        return build_bell_naimark(m)
-    return build_block_naimark(m)
-
-
 def cmd_build(args) -> int:
     tol = _default_tol(args)
     fid = _resolve_fiducial(args)
     m, m_source = _completion_for(fid)
-    ext = _build_extension(m, args.construction)
+    ext = (build_bell_naimark if args.construction == "bell" else build_block_naimark)(m)
     residual = unitarity_residual(ext.U)
     ic = is_informationally_complete(fid, tol=tol)
     if not ic:
@@ -218,10 +212,10 @@ def cmd_simulate(args) -> int:
         raise InvalidInputError(f"state has dim {psi.shape[0]}, fiducial has dim {fid.dim}")
 
     m, m_source = _completion_for(fid)
-    ext = _build_extension(m, args.construction)
-    dist = measure_probabilities(ext, psi, args.index)
-    out = distribution_to_obj(ext.d, dist.probs)
-    out["construction"] = ext.provenance
+    # Both routes define the same U, so the route only names itself in the output.
+    dist = measure_probabilities(m, psi, args.index)
+    out = distribution_to_obj(fid.dim, dist.probs)
+    out["construction"] = PROVENANCE[args.construction]
     out["completion_source"] = m_source
     out["embedding_index"] = args.index
     rc = 0
@@ -234,7 +228,7 @@ def cmd_simulate(args) -> int:
         print(f"oracle cross-check residual {residual:.3e}", file=sys.stderr)
     if args.shots > 0:
         counts = sample(dist, args.shots, args.seed)
-        out.update(counts_to_obj(ext.d, counts))
+        out.update(counts_to_obj(fid.dim, counts))
         out["shots"] = args.shots
         out["seed"] = args.seed
     _emit(out, args.out)
@@ -339,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct the extension unitary from a fiducial")
     _add_fiducial_flags(p)
-    p.add_argument("--construction", choices=("block", "bell"), default="block")
+    p.add_argument("--construction", choices=tuple(PROVENANCE), default="block")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_build)
@@ -359,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=0, help="sampled counts (0 = exact only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="cross-check against the direct oracle")
-    p.add_argument("--construction", choices=("block", "bell"), default="block")
+    p.add_argument("--construction", choices=tuple(PROVENANCE), default="block",
+                   help="route named in the output; both routes define the same U")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,9 +164,13 @@ def characteristic(phi: Fiducial | np.ndarray) -> np.ndarray:
     convolution over Z_d x Z_d, so chi decides everything the Gram does.
     """
     ket = _orbit_ket(phi)
-    d = ket.shape[0]
-    shifted = ket[(np.arange(d)[:, None] + np.arange(d)) % d]  # shifted[j, l] = phi_{l+j}
-    return d * np.fft.ifft(shifted.conj() * ket, axis=1)
+    return ket.shape[0] * np.fft.ifft(cyclic_shifts(ket).conj() * ket, axis=1)
+
+
+def cyclic_shifts(v: np.ndarray) -> np.ndarray:
+    """The d cyclic shifts of a d-vector as rows: out[j, l] = v[(l + j) mod d]."""
+    d = v.shape[0]
+    return v[(np.arange(d)[:, None] + np.arange(d)) % d]
 
 
 def gram_spectrum(chi: np.ndarray) -> np.ndarray:
@@ -176,6 +181,12 @@ def gram_spectrum(chi: np.ndarray) -> np.ndarray:
     """
     d = chi.shape[0]
     return np.fft.fft2(np.abs(chi) ** 2 / d**2).real
+
+
+def gram_condition(spectrum: np.ndarray) -> float:
+    """Condition number lam_max / lam_min of the frame Gram; inf when lam_min <= 0."""
+    lam_min, lam_max = float(spectrum.min()), float(spectrum.max())
+    return lam_max / lam_min if lam_min > 0 else math.inf
 
 
 def gram_rank(spectrum: np.ndarray) -> int:
@@ -194,12 +205,17 @@ class ICResult:
     DEFAULT_TOL of the minimum overlap, so rounding noise cannot move it
     between indices whose overlaps are equal in exact arithmetic (a SIC has
     d^2 - 1 of them, and |chi(a)| = |chi(-a)| always).
+
+    `gram_condition` is reported, not gated: a full-rank Gram can still be
+    ill-conditioned, and linear-inversion tomography then loses about that
+    factor in precision.
     """
 
     is_ic: bool
     witness_index: tuple[int, int]
     witness_overlap: float
     gram_rank: int
+    gram_condition: float
     overlaps: np.ndarray = field(repr=False)
 
     def __bool__(self) -> bool:
@@ -209,21 +225,23 @@ class ICResult:
 def is_informationally_complete(phi: Fiducial | np.ndarray, tol: float = PHYSICAL_TOL) -> ICResult:
     """Check whether the WH orbit of phi spans operator space.
 
-    The overlaps are |chi(j, k)|; the Gram rank comes from its spectrum, the
-    2-D DFT of |chi|^2 / d^2.  IC needs full rank d^2 and a witness overlap
-    above tol.
+    The overlaps are |chi(j, k)|; the Gram rank and condition number come
+    from its spectrum, the 2-D DFT of |chi|^2 / d^2.  IC needs full rank d^2
+    and a witness overlap above tol.
     """
     chi = characteristic(phi)
     d = chi.shape[0]
     overlaps = np.abs(chi)
     flat_arg = int(np.flatnonzero(overlaps <= overlaps.min() + DEFAULT_TOL)[0])
     witness = (flat_arg // d, flat_arg % d)
-    rank = gram_rank(gram_spectrum(chi))
+    lam = gram_spectrum(chi)
+    rank = gram_rank(lam)
     return ICResult(
         is_ic=bool(rank == d * d and overlaps[witness] > tol),
         witness_index=witness,
         witness_overlap=float(overlaps[witness]),
         gram_rank=rank,
+        gram_condition=gram_condition(lam),
         overlaps=overlaps,
     )
 

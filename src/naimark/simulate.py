@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +13,17 @@ from .errors import (
     NumericalFailureError,
     RankDeficientFrameError,
 )
-from .fiducials import Fiducial, as_ket, characteristic, gram_rank, gram_spectrum, wh_orbit
-from .wh import PHYSICAL_TOL, max_abs
+from .fiducials import (
+    Fiducial,
+    as_ket,
+    characteristic,
+    cyclic_shifts,
+    gram_condition,
+    gram_rank,
+    gram_spectrum,
+    wh_orbit,
+)
+from .wh import PHYSICAL_TOL, max_abs, require_unitary
 
 # Probabilities down to -_CLAMP are rounding and clamped to 0; lower is an error.
 _CLAMP = 1e-14
@@ -70,12 +80,17 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", rho)
 
 
+def require_index(i: int, d: int) -> None:
+    """Reject an embedding index outside 0 <= i < d."""
+    if not 0 <= i < d:
+        raise InvalidInputError(f"embedding index {i} out of range for d={d}")
+
+
 def embed(psi: np.ndarray, i: int) -> np.ndarray:
     """Place a d-vector into C^{d^2} with component t at index t*d + i."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     d = psi.shape[0]
-    if not 0 <= i < d:
-        raise InvalidInputError(f"embedding index {i} out of range for d={d}")
+    require_index(i, d)
     out = np.zeros(d * d, dtype=complex)
     out[np.arange(d) * d + i] = psi
     return out
@@ -96,14 +111,33 @@ def direct_probabilities(phi: Fiducial | np.ndarray, psi: np.ndarray) -> Outcome
 
 
 def measure_probabilities(
-    ext: NaimarkExtension, psi: np.ndarray, i: int = 0
+    ext: NaimarkExtension | np.ndarray, psi: np.ndarray, i: int = 0
 ) -> OutcomeDistribution:
-    """Outcome distribution from the extension unitary acting on |psi, i>."""
+    """Outcome distribution of the extension unitary on |psi, i>, from M alone.
+
+    The closed form <r,s|U|t,u> = d^{-1/2} w^{-s(t-r)} M[u, (t-r) mod d]
+    (`bell.matrix_element`) gives the amplitudes
+
+        amp(r, s) = d^{-1/2} sum_q w^{-sq} M[i, q] psi_{(r+q) mod d},
+
+    a length-d FFT over q of row i of M times each cyclic shift of psi:
+    O(d^2 log d) time and O(d^2) memory, where U @ embed(psi, i) costs O(d^4).
+    `ext` is an extension, of which only M is read, or a bare d x d
+    completion matrix, which must be unitary to PHYSICAL_TOL.  Both routes
+    define the same U, so the CLI's `simulate` passes M and never builds U;
+    its `--construction` only names the route in the output.
+    """
+    if isinstance(ext, NaimarkExtension):
+        m = ext.M
+    else:
+        m = require_unitary(ext, PHYSICAL_TOL, "completion matrix M")
+    d = m.shape[0]
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != ext.d:
-        raise InvalidInputError(f"state has dim {psi.shape[0]}, extension has d={ext.d}")
-    amps = ext.U @ embed(psi, i)
-    return OutcomeDistribution(dim=ext.d, probs=np.abs(amps) ** 2)
+    if psi.shape[0] != d:
+        raise InvalidInputError(f"state has dim {psi.shape[0]}, extension has d={d}")
+    require_index(i, d)
+    amps = np.fft.fft(m[i] * cyclic_shifts(psi), axis=1) / np.sqrt(d)
+    return OutcomeDistribution(dim=d, probs=np.abs(amps) ** 2)
 
 
 def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
@@ -138,8 +172,8 @@ def tomography_reconstruct(
             f"frame Gram matrix has rank {rank} < {d * d}; fiducial is not "
             "informationally complete"
         )
-    lam_min, lam_max = float(lam.min()), float(lam.max())
-    if not (lam_min > 0):
+    cond = gram_condition(lam)
+    if cond == math.inf:
         raise NumericalFailureError("frame Gram matrix is numerically singular")
     x = np.fft.ifft2(np.fft.fft2(dist.probs.reshape(d, d)) / lam).real.reshape(-1)
     vecs = wh_orbit(ket).vectors
@@ -150,5 +184,5 @@ def tomography_reconstruct(
         dim=d,
         matrix=rho,
         min_eigenvalue=float(eigs[0]),
-        gram_condition=lam_max / lam_min,
+        gram_condition=cond,
     )

@@ -15,7 +15,7 @@ from naimark.cli import main
 from naimark.io import matrix_to_obj, obj_to_matrix, save_matrix
 from naimark.wh import max_abs
 
-from util import expected_hesse_u, expected_qubit_u
+from util import expected_hesse_u, expected_qubit_u, rand_ket
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -329,6 +329,57 @@ def test_simulate_reads_state_and_ket_files(capsys, tmp_path):
                      "--state-file", str(tmp_path / "missing.json"))
     assert rc == 3
     assert "cannot read state file" in err
+
+
+# The keys of `simulate --check --shots N`, in output order.
+SIMULATE_KEYS = [
+    "d", "index", "probs", "construction", "completion_source", "embedding_index",
+    "check_residual", "counts", "shots", "seed",
+]
+
+
+def ket_file(path, ket):
+    path.write_text(json.dumps([[z.real, z.imag] for z in ket]))
+    return str(path)
+
+
+@pytest.mark.parametrize("d", [16, 128])
+@pytest.mark.parametrize("construction", ["block", "bell"])
+def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d, construction):
+    # At d = 128 the d^2 x d^2 U alone would take 4.3 GB.
+    import naimark.bell as bell
+    import naimark.block as block
+    import naimark.cli as cli
+
+    def boom(*_):
+        raise AssertionError("simulate built the extension unitary")
+
+    for module in (cli, block):
+        monkeypatch.setattr(module, "build_block_naimark", boom)
+    for module in (cli, bell):
+        monkeypatch.setattr(module, "build_bell_naimark", boom)
+    monkeypatch.setattr(block, "assemble_unitary", boom)
+    rng = np.random.default_rng(d)
+    ket, state = (rand_ket(d, rng) for _ in range(2))
+    rc, out, err = run(capsys, "simulate", "--ket-file", ket_file(tmp_path / "ket.json", ket),
+                       "--state-file", ket_file(tmp_path / "state.json", state),
+                       "--construction", construction, "--check", "--shots", "100")
+    assert rc == 0
+    doc = json.loads(out)
+    assert list(doc) == SIMULATE_KEYS
+    assert doc["construction"] == f"{construction}-construction"
+    assert doc["check_residual"] <= 1e-12
+    assert len(doc["probs"]) == d * d and sum(doc["counts"]) == 100
+    assert err.startswith("oracle cross-check residual ")
+
+
+@pytest.mark.parametrize("index", ["-1", "3"])
+def test_simulate_index_out_of_range_exits_2(capsys, index):
+    rc, out, err = run(capsys, "simulate", "--catalog", "hesse", "--state", "[1, 0, 0]",
+                       "--index", index, "--check")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: embedding index {index} out of range for d=3\n"
 
 
 def test_simulate_unnormalized_state_reports_norm(capsys):

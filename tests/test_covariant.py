@@ -122,6 +122,27 @@ def test_tomography_matches_dense_solve(phi, seed):
 
 @PROPERTY
 @given(fiducials())
+def test_gram_condition_matches_dense_gram_and_tomography(phi):
+    d = phi.shape[0]
+    ic = is_informationally_complete(phi)
+    eigs = np.linalg.eigvalsh(dense_frame_gram(phi))
+    if ic.gram_rank < d * d:
+        # Some |lam| is within lam_max * d^2 * eps of zero.
+        assert ic.gram_condition >= 1 / (d**2 * np.finfo(float).eps)
+        return
+    cond = eigs[-1] / eigs[0]
+    assert relative(ic.gram_condition, cond) < conditioned(1e-9, cond)
+    rec = tomography_reconstruct(phi, OutcomeDistribution(d, np.full(d * d, 1.0 / d**2)))
+    assert rec.gram_condition == ic.gram_condition
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_basis_state_gram_condition_is_infinite(d):
+    assert is_informationally_complete(np.eye(d)[d - 1]).gram_condition == np.inf
+
+
+@PROPERTY
+@given(fiducials())
 def test_rank_deficient_frames_rejected_with_dense_rank(phi):
     d = phi.shape[0]
     rank = np.linalg.matrix_rank(dense_frame_gram(phi))

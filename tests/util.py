@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from naimark.simulate import embed
 from naimark.wh import clock_op, displacement, fourier, max_abs, unitarity_residual
 
 
@@ -76,6 +77,16 @@ def dense_tomography(phi, probs, gram=None):
     x = np.linalg.solve(gram, probs)
     rho = np.tensordot(x, dense_elements(phi), axes=1)
     return (rho + rho.conj().T) / 2, eigs[-1] / eigs[0]
+
+
+# Dense oracle for the outcome probabilities.  The library computes them from
+# M with d FFTs of length d; this applies the d^2 x d^2 unitary to the
+# embedded state, as the library once did.
+
+
+def dense_measure_probabilities(u, psi, i):
+    """|U embed(psi, i)|^2 for a d^2 x d^2 unitary U, flattened as j*d + k."""
+    return np.abs(u @ embed(psi, i)) ** 2
 
 
 # Loop oracles for the block layer.  The library lays U out with one
