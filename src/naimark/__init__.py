@@ -15,19 +15,14 @@ from .bell import (
     controlled_clock,
     controlled_shift,
     fiducial_for_embedding,
-    matrix_element,
-    shift_decomposition,
 )
 from .block import (
     NaimarkExtension,
     block_constraint_violation,
-    blocks_of,
     build_block_naimark,
     complete_unitary,
     diagonal_blocks,
     extract_blocks,
-    rank_one_block,
-    reassemble_from_blocks,
     structure_report,
 )
 from .circuits import (
@@ -81,7 +76,6 @@ from .wh import (
     clock_op,
     displacement,
     fourier,
-    root_of_unity,
     shift_op,
 )
 
@@ -109,7 +103,6 @@ __all__ = [
     "bell_change_of_basis",
     "bell_vector",
     "block_constraint_violation",
-    "blocks_of",
     "build_bell_naimark",
     "build_block_naimark",
     "builtin_fiducial",
@@ -132,16 +125,11 @@ __all__ = [
     "fourier",
     "full_naimark_circuit",
     "is_informationally_complete",
-    "matrix_element",
     "measure_probabilities",
     "qcz_circuit",
     "qudit_fourier_circuit",
     "qudit_z_circuit",
-    "rank_one_block",
-    "reassemble_from_blocks",
-    "root_of_unity",
     "sample",
-    "shift_decomposition",
     "shift_op",
     "sic_report",
     "structure_report",

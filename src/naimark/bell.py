@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .block import PROVENANCE, NaimarkExtension
-from .errors import InvalidInputError
 from .fiducials import Fiducial
 from .simulate import require_index
 from .wh import (
@@ -23,33 +22,20 @@ from .wh import (
     bell_change_of_basis,
     clock_op,
     fourier,
-    root_of_unity,
     shift_op,
     require_unitary,
 )
 
 
 def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
-    """Extension bundle via the Bell-basis route; entrywise equal to the block route."""
+    """Extension bundle via the Bell-basis route; entrywise equal to the block route.
+
+    I x M^T is block diagonal, so B (I x M^T) is B reshaped to (d^3, d) times M^T.
+    """
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
-    u = bell_change_of_basis(d) @ np.kron(np.eye(d), m.T)
+    u = (bell_change_of_basis(d).reshape(d**3, d) @ m.T).reshape(d * d, d * d)
     return NaimarkExtension(d=d, M=m, U=u, provenance=PROVENANCE["bell"])
-
-
-def matrix_element(m: np.ndarray, r: int, s: int, t: int, u: int) -> complex:
-    """Closed form for entry (r*d + s, t*d + u) of the interaction unitary.
-
-    <r,s|U|t,u> = d^{-1/2} w^{-s(t-r)} <u|M|t-r>, which depends on r and t
-    only through (t - r) mod d -- the block-circulant invariance made exact.
-    """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if not all(0 <= x < d for x in (r, s, t, u)):
-        raise InvalidInputError(f"indices {(r, s, t, u)} out of range for d={d}")
-    q = (t - r) % d
-    w = root_of_unity(d)
-    return complex(w ** ((-s * q) % d) * m[u, q] / np.sqrt(d))
 
 
 def controlled_shift(d: int) -> np.ndarray:
@@ -67,14 +53,6 @@ def controlled_clock(d: int) -> np.ndarray:
 def _proj(d: int, j: int) -> np.ndarray:
     """|j><j| on C^d."""
     return np.diag(np.eye(d)[j])
-
-
-def shift_decomposition(d: int) -> np.ndarray:
-    """(I x F^dag)(sum_j X^{-j} x |j><j|) -- equals bell_change_of_basis(d).
-
-    This is the qudit generalization of the CNOT-then-Hadamard Bell circuit.
-    """
-    return np.kron(np.eye(d), fourier(d).conj().T) @ controlled_shift(d)
 
 
 def clock_decomposition(m: np.ndarray) -> np.ndarray:

@@ -94,13 +94,6 @@ def _circulant(s: np.ndarray):
         yield slice(r * d, (r + 1) * d), np.roll(row, r * d, axis=1)
 
 
-def _assemble(s: np.ndarray) -> np.ndarray:
-    u = np.empty((len(s) ** 2,) * 2, dtype=complex)
-    for rows, row in _circulant(s):
-        u[rows] = row
-    return u
-
-
 def _stack(blocks) -> np.ndarray:
     """A block row given as d blocks, each d x d, as one (d, d, d) array."""
     s = [np.asarray(b, dtype=complex) for b in blocks]
@@ -112,26 +105,13 @@ def _stack(blocks) -> np.ndarray:
     return np.array(s)
 
 
-def rank_one_block(m: np.ndarray, k: int) -> np.ndarray:
-    """Block S_k = |f_k><m_k|: outer product of column k of F^dag and column k of M.
-
-    No unitarity is required here so that constraint violations of invalid
-    completions can be measured.
-    """
-    s = _block_row(m)
-    if not 0 <= k < len(s):
-        raise InvalidInputError(f"block index {k} out of range for d={len(s)}")
-    return s[k]
-
-
-def blocks_of(m: np.ndarray) -> list[np.ndarray]:
-    return list(_block_row(m))
-
-
 def assemble_unitary(m: np.ndarray) -> np.ndarray:
     """Lay the rank-one blocks out block-circulantly into the full unitary."""
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
-    return _assemble(_block_row(m))
+    u = np.empty((m.shape[0] ** 2,) * 2, dtype=complex)
+    for rows, row in _circulant(_block_row(m)):
+        u[rows] = row
+    return u
 
 
 def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -148,14 +128,6 @@ def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
     u = assemble_unitary(m)
     m = np.asarray(m, dtype=complex)
     return NaimarkExtension(d=m.shape[0], M=m, U=u, provenance=PROVENANCE["block"])
-
-
-def reassemble_from_blocks(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Undo the block diagonalization: (F^dag x I) diag(U_0..U_{d-1}) (F x I).
-
-    Its block (r, t) is (1/d) sum_j w^{j(t-r)} U_j, the inverse FFT of the blocks.
-    """
-    return _assemble(np.fft.ifft(_stack(blocks), axis=0))
 
 
 def block_constraint_violation(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> float:

@@ -285,7 +285,3 @@ def full_naimark_circuit(m: np.ndarray | GateList, n: int) -> GateList:
         raise InvalidInputError(f"completion matrix must be {d}x{d} for n={n}, got {m.shape}")
     prep = Gate("U", tuple(range(n, 2 * n)), matrix=m.T)
     return GateList(2 * n, (prep,) + bell_rotation_circuit(n).gates)
-
-
-def unitarity_residual(circuit: GateList) -> float:
-    return wh.unitarity_residual(expand(circuit))

@@ -94,11 +94,20 @@ def _parse_ket(text: str) -> np.ndarray:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"ket is not valid JSON: {exc}") from exc
+
+    # json gives bool, str and None for true, "..." and null; none of them is a number.
+    def number(x) -> bool:
+        return type(x) in (int, float)
+
+    def pair(x) -> bool:
+        return type(x) is list and len(x) == 2 and all(map(number, x))
+
+    if type(raw) is not list or not all(number(x) or pair(x) for x in raw):
+        raise ParseError("ket must be a JSON list of numbers or [re, im] pairs of numbers")
     try:
-        entries = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"ket must be a list of numbers or [re, im] pairs: {exc}") from exc
-    return np.array(entries, dtype=complex)
+        return np.array([complex(*x) if pair(x) else complex(x) for x in raw], dtype=complex)
+    except OverflowError as exc:  # an integer literal too large for a float
+        raise ParseError(f"ket entry out of range: {exc}") from exc
 
 
 def _read_ket(inline: str | None, path: str | None, what: str, missing: str) -> np.ndarray:

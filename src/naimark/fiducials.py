@@ -33,14 +33,6 @@ class WHFrame:
     dim: int
     vectors: np.ndarray
 
-    def gram(self) -> np.ndarray:
-        return self.vectors.conj() @ self.vectors.T
-
-    def resolution_residual(self) -> float:
-        """Max-norm distance of (1/d) sum |phi_jk><phi_jk| from the identity."""
-        acc = (self.vectors.T @ self.vectors.conj()) / self.dim
-        return max_abs(acc - np.eye(self.dim))
-
     def elements(self) -> list[np.ndarray]:
         """Measurement operators E(j,k) = (1/d)|phi_jk><phi_jk|."""
         return [np.outer(v, v.conj()) / self.dim for v in self.vectors]

@@ -162,12 +162,6 @@ def _complex(re: np.ndarray, im: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def save_matrix(path: str, a: np.ndarray, d: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_obj(a, d), fh)
-        fh.write("\n")
-
-
 def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     """Read a matrix file once and take one matrix per key: from a bundle (such as
     build output) its `key` entry, from a plain matrix file the matrix itself."""

@@ -116,7 +116,7 @@ def measure_probabilities(
     """Outcome distribution of the extension unitary on |psi, i>, from M alone.
 
     The closed form <r,s|U|t,u> = d^{-1/2} w^{-s(t-r)} M[u, (t-r) mod d]
-    (`bell.matrix_element`) gives the amplitudes
+    (stated in the README) gives the amplitudes
 
         amp(r, s) = d^{-1/2} sum_q w^{-sq} M[i, q] psi_{(r+q) mod d},
 

@@ -54,32 +54,19 @@ def require_normalized(ket: np.ndarray, what: str) -> np.ndarray:
     return ket
 
 
-def root_of_unity(d: int) -> complex:
-    """Principal d-th root of unity, exp(2*pi*i/d)."""
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    return complex(np.exp(2j * np.pi / d))
-
-
 def _phases(exponents: np.ndarray, d: int) -> np.ndarray:
     # Reduce exponents mod d before exponentiating; keeps phases exact-ish.
     return np.exp(2j * np.pi * (np.asarray(exponents) % d) / d)
 
 
 def shift_op(d: int) -> np.ndarray:
-    """Cyclic shift X on C^d: X|k> = |k+1 mod d>."""
-    if d < 2:
-        raise InvalidDimensionError(f"shift operator needs d >= 2, got {d}")
-    x = np.zeros((d, d), dtype=complex)
-    x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return x
+    """Cyclic shift X = D(1, 0) on C^d: X|k> = |k+1 mod d>."""
+    return displacement(d, 1, 0)
 
 
 def clock_op(d: int) -> np.ndarray:
-    """Diagonal clock Z on C^d: Z|k> = w^k |k>."""
-    if d < 2:
-        raise InvalidDimensionError(f"clock operator needs d >= 2, got {d}")
-    return np.diag(_phases(np.arange(d), d))
+    """Diagonal clock Z = D(0, 1) on C^d: Z|k> = w^k |k>."""
+    return displacement(d, 0, 1)
 
 
 def displacement(d: int, j: int, k: int) -> np.ndarray:
@@ -109,13 +96,7 @@ def bell_vector(d: int, j: int, k: int) -> np.ndarray:
 
     |D(j,k)> = d^{-1/2} sum_l w^{kl} |j+l, l>, with |a, b> at linear index a*d + b.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"Bell vectors need d >= 2, got {d}")
-    j, k = j % d, k % d
-    ell = np.arange(d)
-    v = np.zeros(d * d, dtype=complex)
-    v[((j + ell) % d) * d + ell] = _phases(k * ell, d)
-    return v / np.sqrt(d)
+    return displacement(d, j, k).reshape(-1) / np.sqrt(d)
 
 
 def bell_change_of_basis(d: int) -> np.ndarray:

@@ -12,20 +12,25 @@ from naimark import (
     builtin_fiducial,
     catalog_m,
     clock_decomposition,
-    clock_op,
     controlled_clock,
     controlled_shift,
     displacement,
     fiducial_for_embedding,
     is_informationally_complete,
-    matrix_element,
-    shift_decomposition,
-    shift_op,
     sic_report,
 )
 from naimark.wh import max_abs
 
-from util import expected_hesse_u, expected_qubit_u, rand_ket, rand_unitary
+from util import (
+    closed_form_u,
+    controlled_clock_closed_form,
+    controlled_shift_closed_form,
+    expected_hesse_u,
+    expected_qubit_u,
+    rand_ket,
+    rand_unitary,
+    shift_decomposition,
+)
 
 
 def test_bell_route_reproduces_expected_matrices():
@@ -61,32 +66,34 @@ def test_matrix_element_trivial_entries():
     rng = np.random.default_rng(2)
     for d in (2, 3, 4):
         m = rand_unitary(d, rng)
+        u = build_bell_naimark(m).U
         for r in range(d):
-            assert matrix_element(m, r, 0, r, 0) == pytest.approx(m[0, 0] / np.sqrt(d))
+            assert u[r * d, r * d] == pytest.approx(m[0, 0] / np.sqrt(d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_matrix_element_exhaustive_against_product(d):
     rng = np.random.default_rng(77 + d)
     m = rand_unitary(d, rng)
-    u = build_bell_naimark(m).U
-    for r in range(d):
-        for s in range(d):
-            for t in range(d):
-                for v in range(d):
-                    assert abs(matrix_element(m, r, s, t, v) - u[r * d + s, t * d + v]) < 1e-12
+    assert max_abs(closed_form_u(m) - build_bell_naimark(m).U) < 1e-12
 
 
 def test_matrix_element_spot_checks_hesse():
-    m = catalog_m("hesse")
+    u = closed_form_u(catalog_m("hesse"))
     want = expected_hesse_u()
     for (r, s, t, v) in [(0, 0, 0, 1), (1, 2, 2, 0), (2, 1, 0, 2), (2, 2, 1, 1)]:
-        assert abs(matrix_element(m, r, s, t, v) - want[r * 3 + s, t * 3 + v]) < 1e-12
+        assert abs(u[r * 3 + s, t * 3 + v] - want[r * 3 + s, t * 3 + v]) < 1e-12
 
 
-def test_matrix_element_index_validation():
-    with pytest.raises(InvalidInputError):
-        matrix_element(np.eye(2), 0, 0, 2, 0)
+def test_bell_route_forms_no_kronecker_product_at_d32(monkeypatch):
+    m = rand_unitary(32, np.random.default_rng(3232))
+    want = closed_form_u(m)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Bell route formed a Kronecker product")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    assert max_abs(build_bell_naimark(m).U - want) < 1e-12
 
 
 def test_controlled_shift_d2_is_cnot_on_second_control():
@@ -161,13 +168,10 @@ class TestFiducialForEmbedding:
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_controlled_closed_forms_with_positive_powers(d):
-    # sum_m Z^m x |m><m| and sum_m X^m x |m><m|, the forms the qudit CZ / CX
-    # circuits realize, from the inverse-power forms of this module.
-    proj = [np.diag(np.eye(d)[m]) for m in range(d)]
-    clock_pos = sum(np.kron(np.linalg.matrix_power(clock_op(d), m), proj[m]) for m in range(d))
-    shift_pos = sum(np.kron(np.linalg.matrix_power(shift_op(d), m), proj[m]) for m in range(d))
-    assert max_abs(controlled_clock(d).conj() - clock_pos) < 1e-14
-    assert np.array_equal(controlled_shift(d).conj().T, shift_pos)
+    # The forms the qudit CZ / CX circuits realize, from the inverse-power
+    # forms of the bell module.
+    assert max_abs(controlled_clock(d).conj() - controlled_clock_closed_form(d)) < 1e-14
+    assert np.array_equal(controlled_shift(d).conj().T, controlled_shift_closed_form(d))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the residual

@@ -6,7 +6,6 @@ import pytest
 from naimark import (
     InvalidInputError,
     block_constraint_violation,
-    blocks_of,
     build_block_naimark,
     builtin_fiducial,
     catalog_m,
@@ -15,21 +14,26 @@ from naimark import (
     displacement,
     extract_blocks,
     fourier,
-    rank_one_block,
-    reassemble_from_blocks,
     structure_report,
 )
 from naimark.errors import CatalogMissError
-from naimark.wh import max_abs, root_of_unity
+from naimark.wh import max_abs
 
 from util import (
     expected_hesse_diag_blocks,
     expected_hesse_u,
     expected_qubit_diag_blocks,
     expected_qubit_u,
+    kron_reassemble,
+    loop_blocks,
     rand_ket,
     rand_unitary,
 )
+
+
+def blocks(m):
+    """The first block row [S_0 .. S_{d-1}] of the block route's U."""
+    return extract_blocks(build_block_naimark(m).U)
 
 
 class TestCompleteUnitary:
@@ -96,8 +100,9 @@ class TestRankOneBlocks:
         m = catalog_m("qubit")
         s0 = np.array([[p[0].conj(), -p[1]], [p[0].conj(), -p[1]]]) / np.sqrt(2)
         s1 = np.array([[p[1].conj(), p[0]], [-p[1].conj(), -p[0]]]) / np.sqrt(2)
-        assert max_abs(rank_one_block(m, 0) - s0) < 1e-15
-        assert max_abs(rank_one_block(m, 1) - s1) < 1e-15
+        got0, got1 = blocks(m)
+        assert max_abs(got0 - s0) < 1e-15
+        assert max_abs(got1 - s1) < 1e-15
 
     def test_first_column_is_scaled_fourier_column(self):
         m = catalog_m("hesse")
@@ -105,14 +110,13 @@ class TestRankOneBlocks:
         f_dag = fourier(3).conj().T
         for k in range(3):
             want = fid[k].conj() * f_dag[:, k]
-            assert max_abs(rank_one_block(m, k)[:, 0] - want) < 1e-15
+            assert max_abs(blocks(m)[k][:, 0] - want) < 1e-15
 
     def test_identity_completion_blocks(self):
         d = 4
         f_dag = fourier(d).conj().T
-        blocks = blocks_of(np.eye(d))
         acc = np.zeros((d, d), dtype=complex)
-        for k, s in enumerate(blocks):
+        for k, s in enumerate(blocks(np.eye(d))):
             e = np.zeros(d)
             e[k] = 1
             assert max_abs(s - np.outer(f_dag[:, k], e)) < 1e-15
@@ -124,13 +128,9 @@ class TestRankOneBlocks:
         rng = np.random.default_rng(31 + d)
         m = rand_unitary(d, rng)
         for k in range(d):
-            sv = np.linalg.svd(rank_one_block(m, k), compute_uv=False)
+            sv = np.linalg.svd(blocks(m)[k], compute_uv=False)
             assert sv[0] == pytest.approx(1.0, abs=1e-12)
             assert max_abs(sv[1:]) < 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            rank_one_block(np.eye(2), 2)
 
 
 class TestAssembly:
@@ -187,7 +187,7 @@ class TestAssembly:
 class TestDiagonalBlocks:
     def test_qubit_blocks_are_sum_and_difference(self):
         m = catalog_m("qubit")
-        s0, s1 = blocks_of(m)
+        s0, s1 = blocks(m)
         u0, u1 = diagonal_blocks(m)
         assert max_abs(u0 - (s0 + s1)) < 1e-13
         assert max_abs(u1 - (s0 - s1)) < 1e-13
@@ -210,8 +210,8 @@ class TestDiagonalBlocks:
         # U_j = sum_k w^{-jk} S_k, independently accumulated
         rng = np.random.default_rng(444 + d)
         m = rand_unitary(d, rng)
-        s = blocks_of(m)
-        w = root_of_unity(d)
+        s = blocks(m)
+        w = np.exp(2j * np.pi / d)
         for j, u_j in enumerate(diagonal_blocks(m)):
             acc = np.zeros((d, d), dtype=complex)
             for k in range(d):
@@ -221,43 +221,33 @@ class TestDiagonalBlocks:
 
 
 class TestReassembly:
-    def test_identity_blocks(self):
-        assert max_abs(reassemble_from_blocks([np.eye(3)] * 3) - np.eye(9)) < 1e-12
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_round_trip_equals_assembly(self, d):
         rng = np.random.default_rng(21 + d)
         m = rand_unitary(d, rng)
-        assert max_abs(reassemble_from_blocks(diagonal_blocks(m)) - build_block_naimark(m).U) < 1e-10
+        assert max_abs(kron_reassemble(diagonal_blocks(m)) - build_block_naimark(m).U) < 1e-10
 
     def test_random_blocks_give_unitary_block_circulant(self):
         rng = np.random.default_rng(3)
-        blocks = [rand_unitary(3, rng) for _ in range(3)]
-        u = reassemble_from_blocks(blocks)
+        u = kron_reassemble([rand_unitary(3, rng) for _ in range(3)])
         assert max_abs(u.conj().T @ u - np.eye(9)) < 1e-12
         s = extract_blocks(u)
         for r in range(3):
             for t in range(3):
                 assert max_abs(u[r * 3 : (r + 1) * 3, t * 3 : (t + 1) * 3] - s[(t - r) % 3]) < 1e-12
 
-    def test_mismatched_blocks_rejected(self):
-        with pytest.raises(InvalidInputError):
-            reassemble_from_blocks([np.eye(2), np.eye(3)])
-        with pytest.raises(InvalidInputError):
-            reassemble_from_blocks([np.eye(3)] * 2)
-
 
 class TestBlockConstraints:
     def test_unitary_completion_satisfies_constraints(self):
         for label in ("qubit", "hesse", "ququart"):
-            assert block_constraint_violation(blocks_of(catalog_m(label))) < 1e-12
+            assert block_constraint_violation(loop_blocks(catalog_m(label))) < 1e-12
         rng = np.random.default_rng(8)
         for d in (2, 3, 5):
-            assert block_constraint_violation(blocks_of(rand_unitary(d, rng))) < 1e-12
+            assert block_constraint_violation(loop_blocks(rand_unitary(d, rng))) < 1e-12
 
     def test_duplicated_row_violates(self):
         bad = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
-        assert block_constraint_violation(blocks_of(bad)) > 0.1
+        assert block_constraint_violation(loop_blocks(bad)) > 0.1
 
     def test_single_trivial_block(self):
         assert block_constraint_violation([np.array([[1.0]])]) == pytest.approx(0.0, abs=1e-15)

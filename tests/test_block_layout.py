@@ -17,20 +17,17 @@ import naimark
 from naimark import (
     InvalidInputError,
     block_constraint_violation,
-    blocks_of,
     build_bell_naimark,
     build_block_naimark,
     catalog_m,
     clock_decomposition,
     diagonal_blocks,
-    rank_one_block,
-    reassemble_from_blocks,
+    extract_blocks,
     structure_report,
 )
 from naimark.wh import max_abs
 
 from util import (
-    kron_reassemble,
     loop_block_constraints,
     loop_blocks,
     loop_layout,
@@ -63,9 +60,9 @@ def block_stacks(draw):
 @PROPERTY
 @given(unitaries())
 def test_blocks_and_unitary_equal_the_loop_layout(m):
-    assert all(np.array_equal(a, b) for a, b in zip(blocks_of(m), loop_blocks(m), strict=True))
-    assert all(np.array_equal(rank_one_block(m, k), b) for k, b in enumerate(loop_blocks(m)))
-    assert np.array_equal(build_block_naimark(m).U, loop_layout(loop_blocks(m)))
+    u = build_block_naimark(m).U
+    assert all(np.array_equal(a, b) for a, b in zip(extract_blocks(u), loop_blocks(m), strict=True))
+    assert np.array_equal(u, loop_layout(loop_blocks(m)))
 
 
 @PROPERTY
@@ -74,12 +71,6 @@ def test_diagonal_blocks_match_matrix_powers(m):
     got, want = np.array(diagonal_blocks(m)), np.array(power_diagonal_blocks(m))
     assert got.shape == want.shape
     assert max_abs(got - want) < FFT_TOL
-
-
-@PROPERTY
-@given(block_stacks())
-def test_reassembly_of_random_blocks_matches_kron_form(blocks):
-    assert max_abs(reassemble_from_blocks(blocks) - kron_reassemble(blocks)) < FFT_TOL
 
 
 @PROPERTY
@@ -141,15 +132,13 @@ class TestBlockInputs:
         [[np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 3))], [np.ones((2, 3))] * 2, [np.eye(3)] * 2],
     )
     def test_block_rows_must_be_d_blocks_of_d_by_d(self, blocks):
-        for fn in (block_constraint_violation, reassemble_from_blocks):
-            with pytest.raises(InvalidInputError, match="blocks of shape"):
-                fn(blocks)
+        with pytest.raises(InvalidInputError, match="blocks of shape"):
+            block_constraint_violation(blocks)
 
     @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))])
     def test_non_square_completion_rejected(self, m):
-        for fn in (diagonal_blocks, blocks_of, lambda a: rank_one_block(a, 0)):
-            with pytest.raises(InvalidInputError, match="must be square"):
-                fn(m)
+        with pytest.raises(InvalidInputError, match="must be square"):
+            diagonal_blocks(m)
 
 
 def test_block_layer_has_no_kron_power_or_per_block_fourier_at_d32(monkeypatch):
@@ -175,8 +164,7 @@ def test_block_layer_has_no_kron_power_or_per_block_fourier_at_d32(monkeypatch):
     cases = {
         "build_block_naimark": lambda: build_block_naimark(m),
         "diagonal_blocks": lambda: diagonal_blocks(m),
-        "reassemble_from_blocks": lambda: reassemble_from_blocks(diagonal_blocks(m)),
-        "block_constraint_violation": lambda: block_constraint_violation(blocks_of(m)),
+        "block_constraint_violation": lambda: block_constraint_violation(extract_blocks(u)),
         "structure_report": lambda: structure_report(u, m),
     }
     for name, run in cases.items():

@@ -12,7 +12,7 @@ import pytest
 
 from naimark import bell_change_of_basis, catalog_m
 from naimark.cli import main
-from naimark.io import matrix_to_obj, obj_to_matrix, save_matrix
+from naimark.io import dumps, matrix_to_obj, obj_to_matrix
 from naimark.wh import max_abs
 
 from util import expected_hesse_u, expected_qubit_u, rand_ket
@@ -129,7 +129,7 @@ def test_verify_perturbed_entry_fails(capsys, tmp_path):
 
 def test_verify_identity_fails_block_structure(capsys, tmp_path):
     path = tmp_path / "eye.json"
-    save_matrix(str(path), np.eye(4), d=2)
+    path.write_text(dumps(matrix_to_obj(np.eye(4), 2)))
     rc, out, _ = run(capsys, "verify", "--u", str(path))
     assert rc == 1
     report = json.loads(out)
@@ -219,7 +219,7 @@ def test_circuit_bell_n1_is_cnot_then_hadamard(capsys):
 
 def test_circuit_naimark_from_file(capsys, tmp_path):
     path = tmp_path / "m.json"
-    save_matrix(str(path), catalog_m("qubit"), d=2)
+    path.write_text(dumps(matrix_to_obj(catalog_m("qubit"), 2)))
     rc, out, _ = run(capsys, "circuit", "naimark", "--n", "1", "--m", str(path), "--expand")
     assert rc == 0
     doc = json.loads(out)
@@ -230,7 +230,7 @@ def test_circuit_naimark_from_file(capsys, tmp_path):
 
 def test_circuit_naimark_wrong_dimension(capsys, tmp_path):
     path = tmp_path / "m3.json"
-    save_matrix(str(path), catalog_m("hesse"), d=3)
+    path.write_text(dumps(matrix_to_obj(catalog_m("hesse"), 3)))
     rc, _, err = run(capsys, "circuit", "naimark", "--n", "1", "--m", str(path))
     assert rc == 2
     assert "2**n" in err
@@ -271,7 +271,7 @@ def test_nan_matrix_file_exits_3_without_nan_output(tmp_path, target):
 
 def test_overflowing_residuals_exit_2_without_infinity_output(tmp_path):
     path = tmp_path / "huge.json"
-    save_matrix(str(path), 1e200 * expected_qubit_u(), d=2)
+    path.write_text(dumps(matrix_to_obj(1e200 * expected_qubit_u(), 2)))
     proc = run_cli("verify", "--u", str(path))
     assert proc.returncode == 2
     assert "Infinity" not in proc.stdout
@@ -315,6 +315,34 @@ def test_simulate_zero_shots_stays_exact_only(capsys):
                      "--shots", "0", "--seed", "0")
     assert rc == 0
     assert "counts" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "ket",
+    [
+        "[[0.6, 0, 99], [0.8, 0]]",  # a third component is not dropped
+        "[[0.6], [0.8, 0]]",
+        '["0.6", "0.8"]',
+        "[true, false]",
+        "[[true, 0], [0, 1]]",
+        "[null, 1]",
+        '"10"',  # a string is not a list of its characters
+        "[1" + "0" * 400 + ", 0]",  # too large for a float
+    ],
+    ids=["triple", "single", "strings", "bools", "bool-in-pair", "null", "string", "huge-int"],
+)
+@pytest.mark.parametrize("flag", ["--ket", "--ket-file", "--state", "--state-file"])
+def test_malformed_ket_entries_exit_3(capsys, tmp_path, flag, ket):
+    if flag.endswith("-file"):
+        path = tmp_path / "ket.json"
+        path.write_text(ket)
+        ket = str(path)
+    fiducial = [flag, ket] if "ket" in flag else ["--catalog", "qubit-sic"]
+    state = [flag, ket] if "state" in flag else ["--state", "[1, 0]"]
+    rc, out, err = run(capsys, "simulate", *fiducial, *state)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ket ")
 
 
 def test_simulate_reads_state_and_ket_files(capsys, tmp_path):
@@ -403,8 +431,8 @@ def test_cli_imports_no_private_library_name():
 
 def test_verify_with_a_completion_of_the_wrong_size_exits_2(tmp_path):
     u_path, m_path = tmp_path / "hesse.json", tmp_path / "qubit_m.json"
-    save_matrix(str(u_path), expected_hesse_u(), d=3)
-    save_matrix(str(m_path), catalog_m("qubit"), d=2)
+    u_path.write_text(dumps(matrix_to_obj(expected_hesse_u(), 3)))
+    m_path.write_text(dumps(matrix_to_obj(catalog_m("qubit"), 2)))
     proc = run_cli("verify", "--u", str(u_path), "--m", str(m_path))
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -456,13 +484,13 @@ def test_circuit_without_expand_builds_no_closed_form(capsys, monkeypatch, tmp_p
     for target in ("cz", "cx", "fourier", "bell"):
         assert run(capsys, "circuit", target, "--n", "2")[0] == 0
     path = tmp_path / "m.json"
-    save_matrix(str(path), catalog_m("ququart"), d=4)
+    path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 4)))
     assert run(capsys, "circuit", "naimark", "--n", "2", "--m", str(path))[0] == 0
 
 
 def test_circuit_naimark_still_rejects_a_non_unitary_m(capsys, tmp_path):
     path = tmp_path / "m.json"
-    save_matrix(str(path), catalog_m("ququart") * 1.01, d=4)
+    path.write_text(dumps(matrix_to_obj(catalog_m("ququart") * 1.01, 4)))
     rc, out, err = run(capsys, "circuit", "naimark", "--n", "2", "--m", str(path))
     assert rc == 2
     assert out == ""

@@ -11,6 +11,7 @@ from naimark import Gate, GateList, InvalidInputError, ParseError, expand
 from naimark.io import (
     counts_to_obj,
     distribution_to_obj,
+    dumps,
     gatelist_to_obj,
     load_matrices,
     load_matrix,
@@ -18,7 +19,6 @@ from naimark.io import (
     obj_to_gate,
     obj_to_gatelist,
     obj_to_matrix,
-    save_matrix,
 )
 from naimark.wh import max_abs
 
@@ -29,7 +29,7 @@ def test_matrix_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(17)
     a = rand_unitary(3, rng) / 3 + (1 / 3 + 1e-17j)  # awkward fractions on purpose
     path = tmp_path / "m.json"
-    save_matrix(str(path), a, d=3)
+    path.write_text(dumps(matrix_to_obj(a, 3)))
     b, d = load_matrix(str(path))
     assert d == 3
     assert np.array_equal(a, b)  # exact, not approximate
@@ -131,7 +131,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path_factory, data, rows, cols, d
     a = np.empty(shape, dtype=complex)
     a.real, a.imag = np.reshape(re, shape), np.reshape(im, shape)  # keeps -0.0 real parts
     path = tmp_path_factory.mktemp("rt") / "m.json"
-    save_matrix(str(path), a, d=d)
+    path.write_text(dumps(matrix_to_obj(a, d)))
     b, d_back = load_matrix(str(path))
     assert d_back == d
     assert np.array_equal(a.view(float), b.view(float))  # same bits, signed zeros included
@@ -153,7 +153,7 @@ def test_load_matrix_key_selects_bundle_entry(tmp_path):
 def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
     a = np.array([[1, 2j], [3, 4]])
     path = tmp_path / "plain.json"
-    save_matrix(str(path), a, d=2)
+    path.write_text(dumps(matrix_to_obj(a, 2)))
     b, d = load_matrix(str(path), key)
     assert d == 2
     assert np.array_equal(a, b)

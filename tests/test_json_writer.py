@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from naimark import catalog_m
 from naimark.cli import _emit, main
 from naimark.errors import NumericalFailureError
-from naimark.io import dumps, save_matrix
+from naimark.io import dumps, matrix_to_obj
 
 
 def oracle(obj) -> str:
@@ -122,7 +122,7 @@ def test_block_circulant_u_is_written_as_json_writes_it():
 def cli_outputs(tmp_path, capsys):
     """The output of every command: its stdout, or its --out file."""
     m_path, build_path = tmp_path / "m.json", tmp_path / "build.json"
-    save_matrix(str(m_path), catalog_m("ququart"), d=4)
+    m_path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 4)))
     commands = [
         ["catalog"],
         ["build", "--catalog", "hesse"],

@@ -10,27 +10,14 @@ from naimark import (
     clock_op,
     displacement,
     fourier,
-    root_of_unity,
     shift_op,
 )
-from naimark.bell import shift_decomposition
 from naimark.wh import max_abs
 
-
-def test_root_of_unity_values():
-    assert root_of_unity(1) == pytest.approx(1)
-    assert root_of_unity(2) == pytest.approx(-1)
-    assert root_of_unity(4) == pytest.approx(1j)
-
-
-def test_root_of_unity_modulus():
-    for d in range(1, 12):
-        assert abs(root_of_unity(d)) == pytest.approx(1.0, abs=1e-15)
+from util import shift_decomposition
 
 
 def test_invalid_dimensions_rejected():
-    with pytest.raises(InvalidDimensionError):
-        root_of_unity(0)
     for fn in (shift_op, clock_op, bell_change_of_basis):
         with pytest.raises(InvalidDimensionError):
             fn(1)

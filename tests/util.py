@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from naimark.bell import controlled_shift
 from naimark.simulate import embed
-from naimark.wh import clock_op, displacement, fourier, max_abs, unitarity_residual
+from naimark.wh import clock_op, displacement, fourier, max_abs, shift_op, unitarity_residual
 
 
 def rand_unitary(d, rng):
@@ -62,6 +63,12 @@ def dense_frame_gram(phi):
     return (flat.conj() @ flat.T).real
 
 
+def dense_resolution_residual(vectors):
+    """Max-norm distance of (1/d) sum_a |v_a><v_a| from the identity, for orbit rows v_a."""
+    d = vectors.shape[1]
+    return max_abs(vectors.T @ vectors.conj() / d - np.eye(d))
+
+
 def dense_sic_report(phi):
     """Max-norm deviation of |<phi_a|phi_b>|^2 from (d*delta + 1)/(d + 1) over all a, b."""
     d = phi.shape[0]
@@ -87,6 +94,42 @@ def dense_tomography(phi, probs, gram=None):
 def dense_measure_probabilities(u, psi, i):
     """|U embed(psi, i)|^2 for a d^2 x d^2 unitary U, flattened as j*d + k."""
     return np.abs(u @ embed(psi, i)) ** 2
+
+
+# Closed forms of the Bell route.  The library builds U as B (I x M^T) with B
+# from its own index rule; these are the entrywise formula for U and the
+# Kronecker products of the controlled shift and clock.
+
+
+def closed_form_u(m):
+    """<r,s|U|t,u> = d^{-1/2} w^{-s(t-r)} M[u, (t-r) mod d], all entries at once."""
+    d = m.shape[0]
+    r, s, t, u = np.ogrid[:d, :d, :d, :d]
+    q = (t - r) % d
+    return (np.exp(-2j * np.pi * (s * q % d) / d) * m[u, q] / np.sqrt(d)).reshape(d * d, d * d)
+
+
+def proj(d, m):
+    """|m><m| on C^d."""
+    p = np.zeros((d, d))
+    p[m, m] = 1.0
+    return p
+
+
+def controlled_clock_closed_form(d):
+    """sum_m Z^m x |m><m|, the form the qudit CZ circuit realizes."""
+    return sum(np.kron(np.linalg.matrix_power(clock_op(d), m), proj(d, m)) for m in range(d))
+
+
+def controlled_shift_closed_form(d):
+    """sum_m X^m x |m><m|, the form the qudit CX circuit realizes."""
+    return sum(np.kron(np.linalg.matrix_power(shift_op(d), m), proj(d, m)) for m in range(d))
+
+
+def shift_decomposition(d):
+    """(I x F^dag)(sum_j X^{-j} x |j><j|): the Bell rotation B as a Kronecker product,
+    the qudit form of the CNOT-then-Hadamard Bell circuit."""
+    return np.kron(np.eye(d), fourier(d).conj().T) @ controlled_shift(d)
 
 
 # Loop oracles for the block layer.  The library lays U out with one
