@@ -15,16 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .block import PROVENANCE, NaimarkExtension
+from .errors import InvalidDimensionError
 from .fiducials import Fiducial
-from .simulate import require_index
-from .wh import (
-    PHYSICAL_TOL,
-    bell_change_of_basis,
-    clock_op,
-    fourier,
-    shift_op,
-    require_unitary,
-)
+from .wh import PHYSICAL_TOL, _phases, bell_change_of_basis, fourier, require_index, require_unitary
 
 
 def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
@@ -39,35 +32,41 @@ def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
 
 
 def controlled_shift(d: int) -> np.ndarray:
-    """sum_j X^{-j} x |j><j|: inverse shifts on the first factor, control on the second."""
-    x = shift_op(d)
-    return sum(np.kron(np.linalg.matrix_power(x, (d - j) % d), _proj(d, j)) for j in range(d))
+    """sum_j X^{-j} x |j><j|, the permutation stated in the README's Bell-route bullet."""
+    if d < 2:
+        raise InvalidDimensionError(f"controlled shift needs d >= 2, got {d}")
+    t, j = np.ogrid[:d, :d]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[((t - j) % d) * d + j, t * d + j] = 1
+    return out
 
 
 def controlled_clock(d: int) -> np.ndarray:
-    """sum_j |j><j| x Z^{-j}: the control/target-swapped partner of the shift."""
-    z = clock_op(d)
-    return sum(np.kron(_proj(d, j), np.linalg.matrix_power(z, (d - j) % d)) for j in range(d))
+    """sum_j |j><j| x Z^{-j}, the diagonal stated in the README's Bell-route bullet."""
+    return np.diag(_clock_phases(d).reshape(-1))
 
 
-def _proj(d: int, j: int) -> np.ndarray:
-    """|j><j| on C^d."""
-    return np.diag(np.eye(d)[j])
+def _clock_phases(d: int) -> np.ndarray:
+    """The controlled clock's diagonal as a d x d array over (control, target)."""
+    if d < 2:
+        raise InvalidDimensionError(f"controlled clock needs d >= 2, got {d}")
+    j, ell = np.ogrid[:d, :d]
+    return _phases(-j * ell, d)
 
 
 def clock_decomposition(m: np.ndarray) -> np.ndarray:
-    """Control/target-dual form of the interaction unitary.
+    """Control/target-dual form of the interaction unitary, in O(d^4 log d).
 
-    U = [(F^dag x F^dag)(sum_j |j><j| x Z^{-j})(F x I)] (I x M^T); the shift
-    control has moved to the first factor with the clock acting on the second,
-    yet the product is the same matrix as build_bell_naimark(m).U.
+    U = (F^dag x F^dag)(sum_j |j><j| x Z^{-j})(F x M^T), the same matrix as
+    build_bell_naimark(m).U with the shift control moved to the first factor:
+    F x M^T as a (d, d, d, d) broadcast, the clock phases on its row pair,
+    then F^dag x F^dag as one unitary 2-D FFT over that pair.
     """
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
-    f = fourier(d)
-    eye = np.eye(d)
-    rot = np.kron(f.conj().T, f.conj().T) @ controlled_clock(d) @ np.kron(f, eye)
-    return rot @ np.kron(eye, m.T)
+    rot = fourier(d)[:, None, :, None] * m.T[None, :, None, :]
+    rot *= _clock_phases(d)[:, :, None, None]
+    return np.fft.fft2(rot, axes=(0, 1), norm="ortho").reshape(d * d, d * d)
 
 
 def fiducial_for_embedding(m: np.ndarray, i: int) -> Fiducial:

@@ -244,9 +244,9 @@ def cmd_simulate(args) -> int:
     return rc
 
 
-# Each target's gate list and the dense closed form its expansion must match.  The bell
-# forms use inverse powers; the conjugate of the diagonal clock form is
-# sum_m Z^m x |m><m|, the transpose of the real shift form sum_m X^m x |m><m|.
+# Each target's gate list and the dense closed form its expansion must match.  The circuits
+# realize sum_m Z^m x |m><m| and sum_m X^m x |m><m|: the conjugate of the bell module's
+# controlled clock and the transpose of its controlled shift, which carry inverse powers.
 _CIRCUITS = {
     "cz": (cz_qudit_circuit, lambda d: controlled_clock(d).conj()),
     "cx": (cx_qudit_circuit, lambda d: controlled_shift(d).conj().T),

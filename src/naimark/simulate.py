@@ -23,7 +23,7 @@ from .fiducials import (
     gram_spectrum,
     wh_orbit,
 )
-from .wh import PHYSICAL_TOL, max_abs, require_unitary
+from .wh import PHYSICAL_TOL, max_abs, require_index, require_unitary
 
 # Probabilities down to -_CLAMP are rounding and clamped to 0; lower is an error.
 _CLAMP = 1e-14
@@ -78,12 +78,6 @@ class DensityMatrix:
         if not (abs(tr - 1.0) <= 1e-8):
             raise InvalidInputError(f"density matrix must have unit trace, got {tr:.12g}")
         object.__setattr__(self, "matrix", rho)
-
-
-def require_index(i: int, d: int) -> None:
-    """Reject an embedding index outside 0 <= i < d."""
-    if not 0 <= i < d:
-        raise InvalidInputError(f"embedding index {i} out of range for d={d}")
 
 
 def embed(psi: np.ndarray, i: int) -> np.ndarray:

@@ -54,6 +54,12 @@ def require_normalized(ket: np.ndarray, what: str) -> np.ndarray:
     return ket
 
 
+def require_index(i: int, d: int) -> None:
+    """Reject an embedding index outside 0 <= i < d."""
+    if not 0 <= i < d:
+        raise InvalidInputError(f"embedding index {i} out of range for d={d}")
+
+
 def _phases(exponents: np.ndarray, d: int) -> np.ndarray:
     # Reduce exponents mod d before exponentiating; keeps phases exact-ish.
     return np.exp(2j * np.pi * (np.asarray(exponents) % d) / d)

@@ -1,7 +1,11 @@
 """Bell-basis route, closed-form matrix elements, and control/target duality."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naimark import (
     InvalidInputError,
@@ -19,7 +23,8 @@ from naimark import (
     is_informationally_complete,
     sic_report,
 )
-from naimark.wh import max_abs
+from naimark.cli import main
+from naimark.wh import DEFAULT_TOL, max_abs
 
 from util import (
     closed_form_u,
@@ -85,15 +90,28 @@ def test_matrix_element_spot_checks_hesse():
         assert abs(u[r * 3 + s, t * 3 + v] - want[r * 3 + s, t * 3 + v]) < 1e-12
 
 
-def test_bell_route_forms_no_kronecker_product_at_d32(monkeypatch):
+def test_bell_route_forms_no_kronecker_product_at_d32(monkeypatch, capsys):
+    """No np.kron or matrix_power in the Bell layer: the d = 32 Bell route, the
+    controlled shift and clock and the clock route at d = 8, and the circuit
+    expansions checked against them."""
     m = rand_unitary(32, np.random.default_rng(3232))
+    m8 = rand_unitary(8, np.random.default_rng(808))
     want = closed_form_u(m)
+    want8 = closed_form_u(m8)
+    clock8, shift8 = controlled_clock_closed_form(8), controlled_shift_closed_form(8)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("Bell route formed a Kronecker product")
+        raise AssertionError("Bell layer formed a Kronecker product or matrix power")
 
     monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(np.linalg, "matrix_power", forbidden)
     assert max_abs(build_bell_naimark(m).U - want) < 1e-12
+    assert max_abs(controlled_clock(8).conj() - clock8) < 1e-14
+    assert np.array_equal(controlled_shift(8).conj().T, shift8)
+    assert max_abs(clock_decomposition(m8) - want8) < 1e-12
+    for target in ("cz", "cx"):
+        assert main(["circuit", target, "--n", "3", "--expand"]) == 0
+        assert json.loads(capsys.readouterr().out)["closed_form_residual"] < 1e-12
 
 
 def test_controlled_shift_d2_is_cnot_on_second_control():
@@ -172,6 +190,14 @@ def test_controlled_closed_forms_with_positive_powers(d):
     # forms of the bell module.
     assert max_abs(controlled_clock(d).conj() - controlled_clock_closed_form(d)) < 1e-14
     assert np.array_equal(controlled_shift(d).conj().T, controlled_shift_closed_form(d))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 16))
+def test_controlled_index_rules_match_kronecker_sums(d):
+    # The oracle's matrix powers drift from the exact phases as d grows (1.1e-14 at d = 16).
+    assert np.array_equal(controlled_shift(d).conj().T, controlled_shift_closed_form(d))
+    assert max_abs(controlled_clock(d).conj() - controlled_clock_closed_form(d)) < DEFAULT_TOL
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the residual

@@ -28,6 +28,7 @@ from naimark import (
 from naimark.wh import max_abs
 
 from util import (
+    closed_form_u,
     loop_block_constraints,
     loop_blocks,
     loop_layout,
@@ -101,6 +102,7 @@ def test_block_bell_and_clock_routes_agree(m):
     block = build_block_naimark(m).U
     assert max_abs(build_bell_naimark(m).U - block) < ROUTE_TOL
     assert max_abs(clock_decomposition(m) - block) < ROUTE_TOL
+    assert max_abs(closed_form_u(m) - block) < ROUTE_TOL
 
 
 def test_catalog_reports_match_loop_report():

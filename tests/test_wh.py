@@ -8,6 +8,8 @@ from naimark import (
     bell_change_of_basis,
     bell_vector,
     clock_op,
+    controlled_clock,
+    controlled_shift,
     displacement,
     fourier,
     shift_op,
@@ -18,9 +20,10 @@ from util import shift_decomposition
 
 
 def test_invalid_dimensions_rejected():
-    for fn in (shift_op, clock_op, bell_change_of_basis):
-        with pytest.raises(InvalidDimensionError):
-            fn(1)
+    for fn in (shift_op, clock_op, bell_change_of_basis, controlled_shift, controlled_clock):
+        for d in (0, 1):
+            with pytest.raises(InvalidDimensionError):
+                fn(d)
     with pytest.raises(InvalidDimensionError):
         fourier(0)
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from naimark.bell import controlled_shift
 from naimark.simulate import embed
 from naimark.wh import clock_op, displacement, fourier, max_abs, shift_op, unitarity_residual
 
@@ -96,9 +95,10 @@ def dense_measure_probabilities(u, psi, i):
     return np.abs(u @ embed(psi, i)) ** 2
 
 
-# Closed forms of the Bell route.  The library builds U as B (I x M^T) with B
-# from its own index rule; these are the entrywise formula for U and the
-# Kronecker products of the controlled shift and clock.
+# Closed forms of the Bell route.  The library builds U as B (I x M^T) and the
+# controlled shift and clock from index rules; these are the entrywise formula
+# for U, the Kronecker sums of the controlled shift and clock, and B built from
+# the shift's Kronecker sum, so no oracle here rests on a library index rule.
 
 
 def closed_form_u(m):
@@ -129,7 +129,7 @@ def controlled_shift_closed_form(d):
 def shift_decomposition(d):
     """(I x F^dag)(sum_j X^{-j} x |j><j|): the Bell rotation B as a Kronecker product,
     the qudit form of the CNOT-then-Hadamard Bell circuit."""
-    return np.kron(np.eye(d), fourier(d).conj().T) @ controlled_shift(d)
+    return np.kron(np.eye(d), fourier(d).conj().T) @ controlled_shift_closed_form(d).conj().T
 
 
 # Loop oracles for the block layer.  The library lays U out with one
