@@ -17,7 +17,7 @@ import numpy as np
 from .block import PROVENANCE, NaimarkExtension
 from .errors import InvalidDimensionError
 from .fiducials import Fiducial
-from .wh import PHYSICAL_TOL, _phases, bell_change_of_basis, fourier, require_index, require_unitary
+from .wh import PHYSICAL_TOL, _omega_table, bell_change_of_basis, fourier, require_index, require_unitary
 
 
 def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
@@ -50,8 +50,7 @@ def _clock_phases(d: int) -> np.ndarray:
     """The controlled clock's diagonal as a d x d array over (control, target)."""
     if d < 2:
         raise InvalidDimensionError(f"controlled clock needs d >= 2, got {d}")
-    j, ell = np.ogrid[:d, :d]
-    return _phases(-j * ell, d)
+    return _omega_table(d)[-np.arange(d) % d]  # row j holds w^{-jl}
 
 
 def clock_decomposition(m: np.ndarray) -> np.ndarray:

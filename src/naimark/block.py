@@ -52,26 +52,20 @@ class NaimarkExtension:
 def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
     """Deterministically extend a fiducial bra to a full unitary matrix.
 
-    Row 0 is the conjugated fiducial.  The remaining rows come from the
-    standard basis with the vector of largest overlap removed, orthonormalized
-    against the rows built so far (modified Gram-Schmidt, index order).
+    Row 0 is the conjugated fiducial.  The rest is Q of the QR factorization
+    of [conj(phi), standard basis without the vector of largest overlap], with
+    R's diagonal made positive: the rows Gram-Schmidt gives in index order.
     """
     ket = require_normalized(as_ket(phi), "fiducial")
     d = ket.shape[0]
     drop = int(np.argmax(np.abs(ket)))
-    rows = [ket.conj()]
-    for i in range(d):
-        if i == drop:
-            continue
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
-        for r in rows:
-            v = v - np.vdot(r, v) * r
-        n = float(np.linalg.norm(v))
-        if n < DEFAULT_TOL:
-            raise NumericalFailureError("Gram-Schmidt collapse while completing the unitary")
-        rows.append(v / n)
-    return np.array(rows)
+    q, r = np.linalg.qr(np.column_stack([ket.conj(), np.delete(np.eye(d), drop, axis=1)]))
+    r_diag = np.diag(r)
+    if np.abs(r_diag).min() < DEFAULT_TOL:
+        raise NumericalFailureError("Gram-Schmidt collapse while completing the unitary")
+    m = (q * (r_diag / np.abs(r_diag))).T
+    m[0] = ket.conj()
+    return m
 
 
 def _block_row(m: np.ndarray) -> np.ndarray:
@@ -83,15 +77,16 @@ def _block_row(m: np.ndarray) -> np.ndarray:
 
 
 def _circulant(s: np.ndarray):
-    """Yield (row slice, block row) pairs of the block circulant with first block row s.
+    """Yield (index, part) pairs that lay out the block circulant with first block row s.
 
     The layout rule, stated only here: block (r, t) is s[(t - r) mod d], so
-    block row r is block row 0 rolled r blocks to the right.
+    block row r is block row 0 rolled r blocks right: two slice copies, u[index] = part.
     """
     d = len(s)
     row = s.transpose(1, 0, 2).reshape(d, d * d)
-    for r in range(d):
-        yield slice(r * d, (r + 1) * d), np.roll(row, r * d, axis=1)
+    for k in range(0, d * d, d):
+        yield (slice(k, k + d), slice(k, None)), row[:, : d * d - k]
+        yield (slice(k, k + d), slice(0, k)), row[:, d * d - k :]
 
 
 def _stack(blocks) -> np.ndarray:
@@ -109,8 +104,8 @@ def assemble_unitary(m: np.ndarray) -> np.ndarray:
     """Lay the rank-one blocks out block-circulantly into the full unitary."""
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     u = np.empty((m.shape[0] ** 2,) * 2, dtype=complex)
-    for rows, row in _circulant(_block_row(m)):
-        u[rows] = row
+    for index, part in _circulant(_block_row(m)):
+        u[index] = part
     return u
 
 
@@ -165,7 +160,7 @@ def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
     if m is not None and np.shape(m) != (d, d):
         raise InvalidInputError(f"completion matrix must be {d} x {d} to match U, got {np.shape(m)}")
     report: dict = {"d": d, "unitarity": unitarity_residual(u)}
-    report["block_circulant"] = max(max_abs(u[rows] - row) for rows, row in _circulant(s))
+    report["block_circulant"] = max(max_abs(u[index] - part) for index, part in _circulant(s))
     # Each block must equal |f_q><f_q| S_q; the surviving bra is a row of M^T.
     f = fourier(d)
     m_rec = np.stack([f[q] @ s[q] for q in range(d)], axis=1)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMissError, InvalidDimensionError, InvalidInputError
-from .wh import DEFAULT_TOL, PHYSICAL_TOL, _phases, max_abs, require_normalized, require_unitary
+from .wh import DEFAULT_TOL, PHYSICAL_TOL, _omega_table, max_abs, require_normalized, require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +144,7 @@ def wh_orbit(phi: Fiducial | np.ndarray) -> WHFrame:
     ket = _orbit_ket(phi)
     d = ket.shape[0]
     ell = (np.arange(d) - np.arange(d)[:, None]) % d  # ell[j, m] = m - j
-    phases = _phases(np.outer(np.arange(d), np.arange(d)), d)  # phases[k, l] = w^{kl}
-    vecs = phases[:, ell].transpose(1, 0, 2) * ket[ell][:, None, :]
+    vecs = _omega_table(d)[:, ell].transpose(1, 0, 2) * ket[ell][:, None, :]
     return WHFrame(dim=d, vectors=vecs.reshape(d * d, d))
 
 
@@ -166,13 +165,16 @@ def cyclic_shifts(v: np.ndarray) -> np.ndarray:
 
 
 def gram_spectrum(chi: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the d^2 x d^2 frame Gram, as the 2-D DFT of |chi|^2 / d^2.
+    """Eigenvalues of the d^2 x d^2 frame Gram, lam[p, q] = |chi(q, -p)|^2 / d.
 
-    Entry [p, q] is the eigenvalue of the Fourier mode (p, q); the Gram is
-    real symmetric, so the imaginary part is rounding and is dropped.
+    lam[p, q] is the eigenvalue of Fourier mode (p, q), the 2-D DFT of |chi|^2 / d^2.
+    Discrete Moyal identity: D(a) D(c) D(a)^dag = w^{[a,c]} D(c), [a,c] = j_c k_a - k_c j_a,
+    and |phi><phi| = (1/d) sum_c conj(chi(c)) D(c) give sum_a w^{-[a,c]} |chi(a)|^2 =
+    d |chi(c)|^2; c = (q, -p) makes w^{-[a,c]} the DFT kernel.  So lam >= 0 exactly,
+    with chi's relative accuracy (an FFT of |chi|^2 errs by eps * lam_max everywhere).
     """
     d = chi.shape[0]
-    return np.fft.fft2(np.abs(chi) ** 2 / d**2).real
+    return np.abs(chi.T[-np.arange(d) % d]) ** 2 / d
 
 
 def gram_condition(spectrum: np.ndarray) -> float:
@@ -182,10 +184,17 @@ def gram_condition(spectrum: np.ndarray) -> float:
 
 
 def gram_rank(spectrum: np.ndarray) -> int:
-    """Rank of the frame Gram by np.linalg.matrix_rank's rule, tol = lam_max * d^2 * eps."""
-    mags = np.abs(spectrum)
-    tol = mags.max() * mags.size * np.finfo(float).eps
-    return int(np.count_nonzero(mags > tol))
+    """Rank of the frame Gram: the count of lam > tau^2 / d, i.e. of |chi| > tau.
+
+    tau = 16 eps sqrt(d) log2(2d) bounds the rounding of `characteristic`, whose rows
+    are FFTs y of v_l = conj(phi_{l+j}) phi_l, ||y||_2 = sqrt(d) ||v||_2 <= sqrt(d).  An FFT
+    errs by about 7u log2(n) ||y||_2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 24.1; u = eps / 2); Bluestein's algorithm for large prime factors
+    runs three of length < 4d: 3 * 7u log2(4d) <= 32u log2(2d).  tau(1024) = 1.3e-12.
+    """
+    d = spectrum.shape[0]
+    tau = 16 * np.finfo(float).eps * math.sqrt(d) * math.log2(2 * d)
+    return int(np.count_nonzero(spectrum > tau**2 / d))
 
 
 @dataclass(frozen=True)
@@ -218,8 +227,8 @@ def is_informationally_complete(phi: Fiducial | np.ndarray, tol: float = PHYSICA
     """Check whether the WH orbit of phi spans operator space.
 
     The overlaps are |chi(j, k)|; the Gram rank and condition number come
-    from its spectrum, the 2-D DFT of |chi|^2 / d^2.  IC needs full rank d^2
-    and a witness overlap above tol.
+    from its spectrum, `gram_spectrum`.  IC needs full rank d^2 and a
+    witness overlap above tol.
     """
     chi = characteristic(phi)
     d = chi.shape[0]

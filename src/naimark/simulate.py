@@ -150,10 +150,10 @@ def tomography_reconstruct(
 
     The frame Gram G[a, b] = |chi(b - a)|^2 / d^2 is a convolution over
     Z_d x Z_d, so G x = p is solved as a deconvolution, x = ifft2(fft2(p) / lam)
-    with lam = gram_spectrum(chi), and rho = V^T diag(x) V^* / d with V the
-    orbit.  Requires an informationally complete fiducial; a rank-deficient
-    Gram matrix is rejected rather than pseudo-inverted.  Positivity of the
-    result is diagnosed (min eigenvalue), not enforced.
+    with lam = gram_spectrum(chi), and rho = `_frame_sum`: O(d^2 log d), plus
+    O(d^3) for eigvalsh.  Requires an informationally complete fiducial; a
+    rank-deficient Gram matrix is rejected rather than pseudo-inverted.
+    Positivity of the result is diagnosed (min eigenvalue), not enforced.
     """
     ket = as_ket(phi)
     d = ket.shape[0]
@@ -169,9 +169,8 @@ def tomography_reconstruct(
     cond = gram_condition(lam)
     if cond == math.inf:
         raise NumericalFailureError("frame Gram matrix is numerically singular")
-    x = np.fft.ifft2(np.fft.fft2(dist.probs.reshape(d, d)) / lam).real.reshape(-1)
-    vecs = wh_orbit(ket).vectors
-    rho = (vecs.T * x) @ vecs.conj() / d
+    x = np.fft.ifft2(np.fft.fft2(dist.probs.reshape(d, d)) / lam).real
+    rho = _frame_sum(ket, x)
     rho = (rho + rho.conj().T) / 2
     eigs = np.linalg.eigvalsh(rho)
     return DensityMatrix(
@@ -180,3 +179,13 @@ def tomography_reconstruct(
         min_eigenvalue=float(eigs[0]),
         gram_condition=cond,
     )
+
+
+def _frame_sum(ket: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{j,k} x[j, k] E(j,k) as rho[m, m - c] = (1/d) sum_j Y[j, c] g_c[m - j],
+    a cyclic convolution over j of Y = d ifft(x, axis=1) and g_c[l] = phi_l conj(phi_{l-c})."""
+    d = ket.shape[0]
+    diff = (np.arange(d)[:, None] - np.arange(d)) % d  # diff[m, n] = m - n
+    g = ket[:, None] * ket.conj()[diff]  # g[l, c] = g_c[l]
+    y = np.fft.fft(np.fft.ifft(x, axis=1), axis=0)
+    return np.take_along_axis(np.fft.ifft(y * np.fft.fft(g, axis=0), axis=0), diff, axis=1)

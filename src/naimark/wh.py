@@ -65,6 +65,10 @@ def _phases(exponents: np.ndarray, d: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(exponents) % d) / d)
 
 
+def _omega_table(d: int) -> np.ndarray:  # w^{kl}, indexed [k, l]
+    return _phases(np.outer(np.arange(d), np.arange(d)), d)
+
+
 def shift_op(d: int) -> np.ndarray:
     """Cyclic shift X = D(1, 0) on C^d: X|k> = |k+1 mod d>."""
     return displacement(d, 1, 0)
@@ -93,8 +97,7 @@ def fourier(d: int) -> np.ndarray:
     """Discrete Fourier matrix F with entries w^{jk} / sqrt(d)."""
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    grid = np.outer(np.arange(d), np.arange(d))
-    return _phases(grid, d) / np.sqrt(d)
+    return _omega_table(d) / np.sqrt(d)
 
 
 def bell_vector(d: int, j: int, k: int) -> np.ndarray:

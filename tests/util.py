@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from naimark.fiducials import wh_orbit
 from naimark.simulate import embed
 from naimark.wh import clock_op, displacement, fourier, max_abs, shift_op, unitarity_residual
 
@@ -83,6 +84,49 @@ def dense_tomography(phi, probs, gram=None):
     x = np.linalg.solve(gram, probs)
     rho = np.tensordot(x, dense_elements(phi), axes=1)
     return (rho + rho.conj().T) / 2, eigs[-1] / eigs[0]
+
+
+# Orbit and loop forms of admitting a fiducial.  The library reads the Gram
+# spectrum off chi by an index rule, sums the frame by one convolution over
+# the shift, completes M by one QR and lays U out by slice copies; these are
+# the 2-D FFT, the orbit product, the Gram-Schmidt loop and the block-row
+# rolls it once used.
+
+
+def fft2_gram_spectrum(chi):
+    """The frame Gram's eigenvalues as the 2-D DFT of |chi|^2 / d^2."""
+    d = chi.shape[0]
+    return np.fft.fft2(np.abs(chi) ** 2 / d**2).real
+
+
+def orbit_frame_sum(phi, x):
+    """sum_a x_a E_a = V^T diag(x) V^* / d, with V the orbit rows from wh_orbit."""
+    vecs = wh_orbit(phi).vectors
+    return (vecs.T * np.ravel(x)) @ vecs.conj() / phi.shape[0]
+
+
+def gram_schmidt_completion(phi):
+    """Row 0 = conj(phi), then the standard basis without argmax |phi|,
+    orthonormalized in index order by modified Gram-Schmidt."""
+    d = phi.shape[0]
+    drop = int(np.argmax(np.abs(phi)))
+    rows = [phi.conj()]
+    for i in range(d):
+        if i == drop:
+            continue
+        v = np.zeros(d, dtype=complex)
+        v[i] = 1.0
+        for r in rows:
+            v = v - np.vdot(r, v) * r
+        rows.append(v / np.linalg.norm(v))
+    return np.array(rows)
+
+
+def roll_layout(s):
+    """Block circulant with first block row s: block row r is that row rolled r blocks right."""
+    d = len(s)
+    row = np.hstack(s)
+    return np.vstack([np.roll(row, r * d, axis=1) for r in range(d)])
 
 
 # Dense oracle for the outcome probabilities.  The library computes them from
