@@ -26,19 +26,16 @@ import numpy as np
 from . import wh
 from .errors import InvalidCircuitError, InvalidInputError
 
-_ONE_WIRE = {"H": 1, "R": 1}
-_TWO_WIRE = {"CR": 2, "SWAP": 2}
+_WIRES = {"H": 1, "R": 1, "CR": 2, "SWAP": 2}
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One abstract gate: H, phase R(k), controlled phase CR(k), SWAP, or an
-    opaque unitary U given by an explicit matrix, unitary to PHYSICAL_TOL.
+    opaque unitary U given by an explicit matrix (first listed wire = MSB),
+    unitary to PHYSICAL_TOL.
 
     R(k) puts the phase exp(2*pi*i / 2**k) on |1>; `dagger` conjugates the
     phase (and, for U, takes the adjoint of the matrix).
@@ -55,8 +52,8 @@ class Gate:
         object.__setattr__(self, "wires", wires)
         if len(set(wires)) != len(wires) or any(w < 0 for w in wires):
             raise InvalidCircuitError(f"wires must be distinct and non-negative, got {wires}")
-        if self.kind in _ONE_WIRE or self.kind in _TWO_WIRE:
-            want = _ONE_WIRE.get(self.kind) or _TWO_WIRE[self.kind]
+        if self.kind in _WIRES:
+            want = _WIRES[self.kind]
             if len(wires) != want:
                 raise InvalidCircuitError(f"{self.kind} acts on {want} wire(s), got {wires}")
             if self.kind in ("R", "CR"):
@@ -85,18 +82,6 @@ class Gate:
             raise InvalidCircuitError(f"{self.kind} gates carry no phase")
         sign = -1.0 if self.dagger else 1.0
         return np.exp(sign * 2j * np.pi / 2**self.k)
-
-    def local_matrix(self) -> np.ndarray:
-        """The gate's unitary on its own wires (first listed wire = MSB)."""
-        if self.kind == "H":
-            return _H.copy()
-        if self.kind == "SWAP":
-            return _SWAP.copy()
-        if self.kind in ("R", "CR"):
-            diag = [1, self.phase] if self.kind == "R" else [1, 1, 1, self.phase]
-            return np.diag(diag).astype(complex)
-        mat = self.matrix
-        return mat.conj().T if self.dagger else mat.copy()
 
     def inverse(self) -> "Gate":
         if self.kind in ("H", "SWAP"):
@@ -163,31 +148,27 @@ def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
             axis[a], axis[b] = axis[b], axis[a]
         elif g.kind in ("R", "CR"):
             part(g.wires, 1)[...] *= g.phase
-        elif len(g.wires) == 1:
-            (u00, u01), (u10, u11) = g.local_matrix()
-            t0, t1 = part(g.wires, 0), part(g.wires, 1)
-            new0 = u00 * t0 + u01 * t1
-            t1 *= u11
-            t1 += u10 * t0
-            t0[...] = new0
         else:
-            m = len(g.wires)
-            gate = g.local_matrix().reshape((2,) * (2 * m))
-            targets = [axis[w] for w in g.wires]
-            t = np.tensordot(gate, t, axes=(range(m, 2 * m), targets))
-            t = np.moveaxis(t, range(m), targets)  # tensordot put the gate's axes first
+            # Read only: _H and the gate's matrix are shared with later gates.
+            mat = _H if g.kind == "H" else g.matrix.conj().T if g.dagger else g.matrix
+            if len(g.wires) == 1:
+                (u00, u01), (u10, u11) = mat
+                t0, t1 = part(g.wires, 0), part(g.wires, 1)
+                new0 = u00 * t0 + u01 * t1
+                t1 *= u11
+                t1 += u10 * t0
+                t0[...] = new0
+            else:
+                m = len(g.wires)
+                targets = [axis[w] for w in g.wires]
+                t = np.tensordot(mat.reshape((2,) * (2 * m)), t, axes=(range(m, 2 * m), targets))
+                t = np.moveaxis(t, range(m), targets)  # tensordot put the gate's axes first
     return np.transpose(t, axis + [n]).reshape(shape)
 
 
 def expand(circuit: GateList) -> np.ndarray:
     """Full 2**n x 2**n unitary of a gate list: the gates applied to the identity's columns."""
     return apply_circuit(circuit, np.eye(2**circuit.n_qubits))
-
-
-def _phase_ladder(n: int, wires: list[int]) -> list[Gate]:
-    # R(j+1) on wire q_j; factors commute, emitted in application order of the
-    # right-to-left product.
-    return [Gate("R", (wires[j],), k=j + 1) for j in reversed(range(n))]
 
 
 def qudit_z_circuit(n: int) -> GateList:
@@ -198,7 +179,9 @@ def qudit_z_circuit(n: int) -> GateList:
     """
     if n < 1:
         raise InvalidCircuitError(f"need n >= 1 qubits, got {n}")
-    return GateList(n, tuple(_phase_ladder(n, list(range(n)))))
+    # R(j+1) on wire q_j; factors commute, emitted in application order of the
+    # right-to-left product.
+    return GateList(n, tuple(Gate("R", (j,), k=j + 1) for j in reversed(range(n))))
 
 
 def qcz_circuit(n: int, control_wire: int, target_wires: tuple[int, ...] | list[int]) -> GateList:
@@ -268,18 +251,13 @@ def bell_rotation_circuit(n: int) -> GateList:
     return GateList(2 * n, shift_inv.gates + f_dag.gates)
 
 
-def full_naimark_circuit(m: np.ndarray | GateList, n: int) -> GateList:
+def full_naimark_circuit(m: np.ndarray, n: int) -> GateList:
     """Complete measurement circuit (I x F^dag)(sum_j X^{-j} x |j><j|)(I x M^T).
 
-    System qudit on wires 0..n-1, ancilla on wires n..2n-1.  M may be given as
-    a gate list (expanded and then transposed) or as a matrix; either way M^T
-    enters as one opaque gate on the ancilla, followed by bell_rotation_circuit.
+    System qudit on wires 0..n-1, ancilla on wires n..2n-1.  M^T enters as one
+    opaque gate on the ancilla, followed by bell_rotation_circuit.
     """
     d = 2**n
-    if isinstance(m, GateList):
-        if 2**m.n_qubits != d:
-            raise InvalidInputError(f"gate list acts on 2**{m.n_qubits} levels, expected {d}")
-        m = expand(m)
     m = np.asarray(m, dtype=complex)
     if m.shape != (d, d):
         raise InvalidInputError(f"completion matrix must be {d}x{d} for n={n}, got {m.shape}")

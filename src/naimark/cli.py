@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -47,7 +46,6 @@ from .io import (
     dumps,
     gatelist_to_obj,
     load_matrices,
-    load_matrix,
     matrix_to_obj,
 )
 from .simulate import direct_probabilities, measure_probabilities, sample
@@ -62,19 +60,10 @@ from .wh import (
 )
 
 
-def _default_tol(args) -> float:
-    tol, source = args.tol, "--tol"
-    if tol is None:
-        env = os.environ.get("NAIMARK_TOL")
-        if not env:
-            return PHYSICAL_TOL
-        try:
-            tol, source = float(env), "NAIMARK_TOL"
-        except ValueError:
-            raise InvalidInputError(f"NAIMARK_TOL is not a number: {env!r}") from None
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidInputError(f"{source} must be finite and >= 0, got {tol!r}")
-    return tol
+def _tol(args) -> float:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InvalidInputError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    return args.tol
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -144,7 +133,7 @@ def _completion_for(fid: Fiducial) -> tuple[np.ndarray, str]:
 
 
 def cmd_build(args) -> int:
-    tol = _default_tol(args)
+    tol = _tol(args)
     fid = _resolve_fiducial(args)
     m, m_source = _completion_for(fid)
     ext = (build_bell_naimark if args.construction == "bell" else build_block_naimark)(m)
@@ -185,12 +174,12 @@ _VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    tol = _default_tol(args)
+    tol = _tol(args)
     if args.m == args.u:  # one bundle (build output) holds both: parse it once
         (u, d), (m, _) = load_matrices(args.u, "U", "M")
     else:
-        u, d = load_matrix(args.u)
-        m = load_matrix(args.m, "M")[0] if args.m else None
+        [(u, d)] = load_matrices(args.u, "U")
+        m = load_matrices(args.m, "M")[0][0] if args.m else None
     report = structure_report(u, m)
     if report["d"] != d:
         print(f"warning: file says d={d} but U is {u.shape[0]}x{u.shape[1]}", file=sys.stderr)
@@ -198,9 +187,10 @@ def cmd_verify(args) -> int:
     ok = all(v <= tol for v in checks.values())
     out = {"d": report["d"], "tol": tol, "checks": checks, "pass": ok}
     if ok:
-        m_rec = report["recovered_m"]
-        out["fiducial_sic_deviation"] = sic_report(m_rec[0].conj())
-        out["compound_sic_deviations"] = compound_sic_report(m_rec, tol=tol)
+        # Row 0 of the recovered M is the fiducial's bra.
+        compound = compound_sic_report(report["recovered_m"], tol=tol)
+        out["fiducial_sic_deviation"] = compound[0]
+        out["compound_sic_deviations"] = compound
     _emit(out, args.out)
     status = "pass" if ok else "FAIL"
     worst = max(checks.values())
@@ -209,7 +199,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    tol = _default_tol(args)
+    tol = _tol(args)
     for flag, value in (("--shots", args.shots), ("--seed", args.seed)):
         if value < 0:
             raise InvalidInputError(f"{flag} must be >= 0, got {value}")
@@ -221,10 +211,8 @@ def cmd_simulate(args) -> int:
         raise InvalidInputError(f"state has dim {psi.shape[0]}, fiducial has dim {fid.dim}")
 
     m, m_source = _completion_for(fid)
-    # Both routes define the same U, so the route only names itself in the output.
     dist = measure_probabilities(m, psi, args.index)
     out = distribution_to_obj(fid.dim, dist.probs)
-    out["construction"] = PROVENANCE[args.construction]
     out["completion_source"] = m_source
     out["embedding_index"] = args.index
     rc = 0
@@ -262,7 +250,7 @@ _MAX_EXPAND_N = 5
 
 
 def cmd_circuit(args) -> int:
-    tol = _default_tol(args)
+    tol = _tol(args)
     n = args.n
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
@@ -275,7 +263,7 @@ def cmd_circuit(args) -> int:
     if args.target == "naimark":
         if not args.m:
             raise InvalidInputError("circuit naimark needs --m FILE")
-        m, _ = load_matrix(args.m, "M")
+        [(m, _)] = load_matrices(args.m, "M")
         if m.shape != (d, d):
             raise UnsupportedDimensionError(
                 f"completion matrix is {m.shape[0]}x{m.shape[1]}; qubit synthesis needs d = 2**n = {d}"
@@ -339,22 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=PHYSICAL_TOL)
+    common.add_argument("--out", help="write JSON here instead of stdout")
 
-    p = sub.add_parser("build", help="construct the extension unitary from a fiducial")
+    p = sub.add_parser("build", parents=[common],
+                       help="construct the extension unitary from a fiducial")
     _add_fiducial_flags(p)
     p.add_argument("--construction", choices=tuple(PROVENANCE), default="block")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="run structural checks on a stored unitary")
+    p = sub.add_parser("verify", parents=[common],
+                       help="run structural checks on a stored unitary")
     p.add_argument("--u", required=True, help="matrix file (or build output) holding U")
     p.add_argument("--m", help="optional matrix file holding M for cross-checking")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="outcome distribution for an input state")
+    p = sub.add_parser("simulate", parents=[common],
+                       help="outcome distribution for an input state")
     _add_fiducial_flags(p)
     p.add_argument("--state", help="inline JSON ket for the input state")
     p.add_argument("--state-file")
@@ -362,19 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=0, help="sampled counts (0 = exact only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true", help="cross-check against the direct oracle")
-    p.add_argument("--construction", choices=tuple(PROVENANCE), default="block",
-                   help="route named in the output; both routes define the same U")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("circuit", help="emit qubit-level circuits (d = 2**n)")
+    p = sub.add_parser("circuit", parents=[common], help="emit qubit-level circuits (d = 2**n)")
     p.add_argument("target", choices=_CIRCUIT_TARGETS)
     p.add_argument("--n", type=int, required=True, help="qubits per register")
     p.add_argument("--m", help="matrix file with M (naimark target)")
     p.add_argument("--expand", action="store_true", help="include the expanded matrix")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("catalog", help="list built-in fiducials and completion matrices")

@@ -5,13 +5,13 @@ Matrix files are plain JSON objects
     {"d": int, "rows": int, "cols": int, "re": [[...]], "im": [[...]]}
 
 with row-major nested arrays; Python's repr-based float serialization makes
-the round trip bit-exact.  Circuit files are
+the round trip bit-exact.  The `circuit` command writes gate lists as
 
     {"n_qubits": int, "gates": [{"kind": "H"|"R"|"CR"|"SWAP"|"U", ...}]}
 
 where gates appear in application order (first element applied first), R/CR
 carry "k" and an optional "dagger" flag for conjugated phases, and opaque "U"
-gates carry their matrix as "re"/"im" arrays.
+gates carry their matrix as "re"/"im" arrays.  Nothing reads them back.
 
 Command output is written by `dumps`, whose text is, byte for byte, what
 Python's json module writes with indent 2 and NaN/Inf refused.  A list of floats,
@@ -150,16 +150,11 @@ def obj_to_matrix(obj: dict) -> tuple[np.ndarray, int]:
         raise ParseError(
             f"array shapes {re.shape}/{im.shape} do not match rows x cols = {rows}x{cols}"
         )
-    return _complex(re, im, "matrix"), d
-
-
-def _complex(re: np.ndarray, im: np.ndarray, what: str) -> np.ndarray:
-    """re + i*im with the bits of both parts kept (re + 1j*im turns -0.0 into 0.0)."""
-    a = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
-    a.real, a.imag = re, im
+    a = np.empty((rows, cols), dtype=complex)
+    a.real, a.imag = re, im  # keeps the bits of both parts: re + 1j*im turns -0.0 into 0.0
     if not np.isfinite(a).all():
-        raise ParseError(f"{what} has non-finite entries (NaN or Inf)")
-    return a
+        raise ParseError("matrix has non-finite entries (NaN or Inf)")
+    return a, d
 
 
 def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
@@ -174,11 +169,6 @@ def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     return [obj_to_matrix(obj[key] if bundle and key in obj else obj) for key in keys]
 
 
-def load_matrix(path: str, key: str = "U") -> tuple[np.ndarray, int]:
-    """Read a matrix file; from a bundle (such as build output), take its `key` entry."""
-    return load_matrices(path, key)[0]
-
-
 def gate_to_obj(g: Gate) -> dict:
     out: dict = {"kind": g.kind, "wires": list(g.wires)}
     if g.k is not None:
@@ -191,35 +181,8 @@ def gate_to_obj(g: Gate) -> dict:
     return out
 
 
-def obj_to_gate(obj: dict) -> Gate:
-    try:
-        kind = obj["kind"]
-        wires = tuple(int(w) for w in obj["wires"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed gate object: {exc}") from exc
-    matrix = None
-    if kind == "U":
-        try:
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj["im"], dtype=float)
-            matrix = _complex(re, im, "U-gate matrix")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed U-gate matrix: {exc}") from exc
-    k = obj.get("k")
-    return Gate(kind, wires, k=None if k is None else int(k), dagger=bool(obj.get("dagger", False)), matrix=matrix)
-
-
 def gatelist_to_obj(circuit: GateList) -> dict:
     return {"n_qubits": circuit.n_qubits, "gates": [gate_to_obj(g) for g in circuit.gates]}
-
-
-def obj_to_gatelist(obj: dict) -> GateList:
-    try:
-        n = int(obj["n_qubits"])
-        gates = tuple(obj_to_gate(g) for g in obj["gates"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed circuit object: {exc}") from exc
-    return GateList(n, gates)
 
 
 def distribution_to_obj(d: int, probs: np.ndarray) -> dict:

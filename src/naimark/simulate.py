@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .block import NaimarkExtension
-from .errors import (
-    InvalidInputError,
-    NumericalFailureError,
-    RankDeficientFrameError,
-)
+from .errors import InvalidInputError, RankDeficientFrameError
 from .fiducials import (
     Fiducial,
     as_ket,
@@ -118,8 +113,7 @@ def measure_probabilities(
     O(d^2 log d) time and O(d^2) memory, where U @ embed(psi, i) costs O(d^4).
     `ext` is an extension, of which only M is read, or a bare d x d
     completion matrix, which must be unitary to PHYSICAL_TOL.  Both routes
-    define the same U, so the CLI's `simulate` passes M and never builds U;
-    its `--construction` only names the route in the output.
+    define the same U, so the CLI's `simulate` passes M and never builds U.
     """
     if isinstance(ext, NaimarkExtension):
         m = ext.M
@@ -152,8 +146,9 @@ def tomography_reconstruct(
     Z_d x Z_d, so G x = p is solved as a deconvolution, x = ifft2(fft2(p) / lam)
     with lam = gram_spectrum(chi), and rho = `_frame_sum`: O(d^2 log d), plus
     O(d^3) for eigvalsh.  Requires an informationally complete fiducial; a
-    rank-deficient Gram matrix is rejected rather than pseudo-inverted.
-    Positivity of the result is diagnosed (min eigenvalue), not enforced.
+    rank-deficient Gram matrix is rejected rather than pseudo-inverted.  Full
+    rank means every lam > tau^2 / d > 0 (`gram_rank`), so the condition number
+    is finite.  Positivity of the result is diagnosed (min eigenvalue), not enforced.
     """
     ket = as_ket(phi)
     d = ket.shape[0]
@@ -166,9 +161,6 @@ def tomography_reconstruct(
             f"frame Gram matrix has rank {rank} < {d * d}; fiducial is not "
             "informationally complete"
         )
-    cond = gram_condition(lam)
-    if cond == math.inf:
-        raise NumericalFailureError("frame Gram matrix is numerically singular")
     x = np.fft.ifft2(np.fft.fft2(dist.probs.reshape(d, d)) / lam).real
     rho = _frame_sum(ket, x)
     rho = (rho + rho.conj().T) / 2
@@ -177,7 +169,7 @@ def tomography_reconstruct(
         dim=d,
         matrix=rho,
         min_eigenvalue=float(eigs[0]),
-        gram_condition=cond,
+        gram_condition=gram_condition(lam),
     )
 
 

@@ -18,9 +18,10 @@ from naimark import (
     fiducial_for_embedding,
     full_naimark_circuit,
 )
+from naimark import circuits
 from naimark.wh import max_abs
 
-from util import loop_expand, rand_ket, rand_unitary
+from util import gate_matrix, loop_expand, rand_ket, rand_unitary
 
 
 @st.composite
@@ -101,12 +102,6 @@ def test_apply_circuit_takes_an_empty_batch():
     assert apply_circuit(GateList(2, (Gate("H", (1,)),)), np.zeros((4, 0))).shape == (4, 0)
 
 
-def test_writing_into_a_local_matrix_leaves_later_gates_intact():
-    Gate("H", (0,)).local_matrix()[0, 0] = 5
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert max_abs(expand(GateList(1, (Gate("H", (0,)),))) - h) < 1e-15
-
-
 def test_kernel_leaves_gate_matrices_unchanged():
     rng = np.random.default_rng(5)
     u = rand_unitary(4, rng)
@@ -114,7 +109,7 @@ def test_kernel_leaves_gate_matrices_unchanged():
     kept = u.copy()
     expand(GateList(2, gates))
     assert np.array_equal(gates[0].matrix, kept) and np.array_equal(gates[1].matrix, kept)
-    assert np.array_equal(gates[2].local_matrix(), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    assert np.array_equal(circuits._H, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
 @pytest.mark.parametrize("kind, wires", [("R", (0,)), ("CR", (0, 1))])
@@ -122,8 +117,6 @@ def test_kernel_leaves_gate_matrices_unchanged():
 @pytest.mark.parametrize("dagger", [False, True])
 def test_phase_is_the_last_entry_of_the_local_matrix(kind, wires, k, dagger):
     gate = Gate(kind, wires, k=k, dagger=dagger)
-    mat = gate.local_matrix()
-    assert mat[-1, -1] == gate.phase
-    assert np.array_equal(mat, np.diag(np.diag(mat)))
-    assert np.all(np.diag(mat)[:-1] == 1)
-    assert gate.phase == np.exp((-1 if dagger else 1) * 2j * np.pi / 2**k)
+    want = np.exp((-1 if dagger else 1) * 2j * np.pi / 2**k)
+    assert gate.phase == want
+    assert gate_matrix(gate)[-1, -1] == gate.phase

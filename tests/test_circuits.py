@@ -211,17 +211,30 @@ class TestFullNaimarkCircuit:
             circ = full_naimark_circuit(m, 2)
             assert max_abs(expand(circ) - build_bell_naimark(m).U) < 1e-10
 
-    def test_gatelist_input(self):
-        # a gate list implementing F_2 stands in for the completion matrix
-        m_circ = GateList(1, (Gate("H", (0,)),))
-        circ = full_naimark_circuit(m_circ, 1)
-        assert max_abs(expand(circ) - build_bell_naimark(fourier(2)).U) < 1e-12
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             full_naimark_circuit(np.eye(3), 1)
-        with pytest.raises(InvalidInputError):
-            full_naimark_circuit(GateList(2, ()), 1)
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: Gate("H", (0,), k=1), "H takes no k parameter"),
+        (lambda: Gate("U", (0,)), "U gates need an explicit matrix"),
+        (lambda: Gate("H", (0,)).phase, "H gates carry no phase"),
+        (lambda: GateList(0, ()), "need at least one qubit, got 0"),
+        (lambda: qudit_z_circuit(0), "need n >= 1 qubits, got 0"),
+        (lambda: qcz_circuit(2, 0, (1,)), "expected 2 target wires, got [1]"),
+        (lambda: cz_qudit_circuit(0), "need n >= 1 qubits per register, got 0"),
+        (lambda: qudit_fourier_circuit(0), "need n >= 1 qubits, got 0"),
+    ],
+    ids=["k-on-H", "U-without-matrix", "phase-of-H", "no-qubits", "z-n0", "qcz-targets",
+         "cz-n0", "fourier-n0"],
+)
+def test_circuit_guards(build, fragment):
+    with pytest.raises(InvalidCircuitError) as info:
+        build()
+    assert fragment in str(info.value)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from naimark import bell_change_of_basis, catalog_m
+from naimark import bell_change_of_basis, catalog_m, sic_report, structure_report
 from naimark.cli import main
-from naimark.io import dumps, matrix_to_obj, obj_to_matrix
+from naimark.io import dumps, load_matrices, matrix_to_obj, obj_to_matrix
 from naimark.wh import max_abs
 
 from util import expected_hesse_u, expected_qubit_u, rand_ket
@@ -145,16 +145,19 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert "error" in err
 
 
-def test_tol_env_override(capsys, tmp_path, monkeypatch):
+def test_tol_comes_from_the_flag_alone(capsys, tmp_path, monkeypatch):
     path = tmp_path / "hesse.json"
     run(capsys, "build", "--catalog", "hesse", "--out", str(path))
     doc = json.loads(path.read_text())
     doc["U"]["re"][0][0] += 1e-3
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    monkeypatch.setenv("NAIMARK_TOL", "1.0")
+    monkeypatch.setenv("NAIMARK_TOL", "1.0")  # an environment variable no command reads
     rc, out, _ = run(capsys, "verify", "--u", str(bad))
-    assert rc == 0  # absurd tolerance accepted from the environment
+    assert rc == 1
+    assert json.loads(out)["tol"] == 1e-10
+    rc, out, _ = run(capsys, "verify", "--u", str(bad), "--tol", "1.0")
+    assert rc == 0
     assert json.loads(out)["tol"] == 1.0
 
 
@@ -236,10 +239,8 @@ def test_circuit_naimark_wrong_dimension(capsys, tmp_path):
     assert "2**n" in err
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("NAIMARK_TOL", None)
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "naimark.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
@@ -279,13 +280,8 @@ def test_overflowing_residuals_exit_2_without_infinity_output(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_non_finite_or_negative_tol_exits_2(source, value):
-    argv = ["circuit", "cz", "--n", "2", "--expand"]
-    if source == "flag":
-        proc = run_cli(*argv, "--tol", value)
-    else:
-        proc = run_cli(*argv, env_extra={"NAIMARK_TOL": value})
+def test_non_finite_or_negative_tol_exits_2(value):
+    proc = run_cli("circuit", "cz", "--n", "2", "--expand", "--tol", value)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -361,7 +357,7 @@ def test_simulate_reads_state_and_ket_files(capsys, tmp_path):
 
 # The keys of `simulate --check --shots N`, in output order.
 SIMULATE_KEYS = [
-    "d", "index", "probs", "construction", "completion_source", "embedding_index",
+    "d", "index", "probs", "completion_source", "embedding_index",
     "check_residual", "counts", "shots", "seed",
 ]
 
@@ -372,8 +368,7 @@ def ket_file(path, ket):
 
 
 @pytest.mark.parametrize("d", [16, 128])
-@pytest.mark.parametrize("construction", ["block", "bell"])
-def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d, construction):
+def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d):
     # At d = 128 the d^2 x d^2 U alone would take 4.3 GB.
     import naimark.bell as bell
     import naimark.block as block
@@ -391,14 +386,21 @@ def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d, con
     ket, state = (rand_ket(d, rng) for _ in range(2))
     rc, out, err = run(capsys, "simulate", "--ket-file", ket_file(tmp_path / "ket.json", ket),
                        "--state-file", ket_file(tmp_path / "state.json", state),
-                       "--construction", construction, "--check", "--shots", "100")
+                       "--check", "--shots", "100")
     assert rc == 0
     doc = json.loads(out)
     assert list(doc) == SIMULATE_KEYS
-    assert doc["construction"] == f"{construction}-construction"
     assert doc["check_residual"] <= 1e-12
     assert len(doc["probs"]) == d * d and sum(doc["counts"]) == 100
     assert err.startswith("oracle cross-check residual ")
+
+
+def test_simulate_takes_no_construction(capsys):
+    # Both routes define the same U and simulate builds neither, so there is no route to pick.
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--catalog", "hesse", "--state", "[1, 0, 0]", "--construction", "bell"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --construction bell" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index", ["-1", "3"])
@@ -509,3 +511,24 @@ def test_verify_parses_a_shared_bundle_once(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(naimark.io.json, "load", lambda fh: loads.append(fh.name) or real_load(fh))
     assert run(capsys, "verify", "--u", str(path), "--m", str(path)) == expected
     assert loads == [str(path)]
+
+
+@pytest.mark.parametrize(
+    "fiducial",
+    [
+        ["--catalog", "hesse"],
+        ["--catalog", "ququart-sic"],
+        ["--ket", "[[0.6,0],[0,0.48],[0.64,0]]"],
+    ],
+    ids=["hesse", "ququart-sic", "ket"],
+)
+def test_verify_fiducial_deviation_is_row_0_of_the_compound_report(capsys, tmp_path, fiducial):
+    path = tmp_path / "bundle.json"
+    assert run(capsys, "build", *fiducial, "--out", str(path))[0] == 0
+    rc, out, _ = run(capsys, "verify", "--u", str(path), "--m", str(path))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["fiducial_sic_deviation"] == doc["compound_sic_deviations"][0]
+    (u, _), (m, _) = load_matrices(str(path), "U", "M")
+    m_rec = structure_report(u, m)["recovered_m"]
+    assert doc["fiducial_sic_deviation"] == sic_report(m_rec[0].conj())  # what verify wrote before

@@ -1,11 +1,16 @@
 """Fiducial catalog, orbits, and the SIC / informational-completeness checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from naimark import (
     CatalogMissError,
     Fiducial,
+    InvalidDimensionError,
     InvalidInputError,
     builtin_fiducial,
     catalog_m,
@@ -14,7 +19,7 @@ from naimark import (
     sic_report,
     wh_orbit,
 )
-from naimark.fiducials import CATALOG, as_ket
+from naimark.fiducials import CATALOG, as_ket, characteristic, gram_condition, gram_rank
 from naimark.wh import max_abs
 
 from util import dense_resolution_residual, rand_ket
@@ -214,3 +219,32 @@ def test_compound_sic_honours_a_tighter_tolerance():
     assert len(compound_sic_report(m)) == 3  # the default stays PHYSICAL_TOL
     with pytest.raises(InvalidInputError, match="not unitary"):
         compound_sic_report(m, tol=1e-13)
+
+
+@pytest.mark.parametrize("orbit_function", [characteristic, wh_orbit])
+def test_orbit_guards_reject_a_length_one_ket(orbit_function):
+    with pytest.raises(InvalidDimensionError, match="WH orbits need d >= 2, got 1"):
+        orbit_function(np.array([1.0]))
+
+
+def rank_threshold(d):
+    """tau**2 / d, the bound above which `gram_rank` counts an eigenvalue."""
+    tau = 16 * np.finfo(float).eps * math.sqrt(d) * math.log2(2 * d)
+    return tau**2 / d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 16), data=st.data())
+@example(d=2, data=None)
+@example(d=1024, data=None)
+def test_full_gram_rank_implies_a_finite_condition_number(d, data):
+    # Every eigenvalue lies in (tau^2 / d, 1 / d], as for a normalized fiducial.
+    low = float(np.nextafter(rank_threshold(d), np.inf))
+    if data is None:  # the extreme: all but one eigenvalue just above the threshold
+        values = [low] * (d * d - 1) + [1 / d]
+    else:
+        values = data.draw(st.lists(st.floats(low, 1 / d), min_size=d * d, max_size=d * d))
+        values[0] = low
+    lam = np.array(values).reshape(d, d)
+    assert gram_rank(lam) == d * d
+    assert math.isfinite(gram_condition(lam))

@@ -1,4 +1,4 @@
-"""JSON round trips for matrices, circuits, and outcome data."""
+"""JSON round trips for matrices, the circuit writer, and outcome data."""
 
 import json
 
@@ -7,17 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naimark import Gate, GateList, InvalidInputError, ParseError, expand
+from naimark import Gate, GateList, ParseError, expand
 from naimark.io import (
     counts_to_obj,
     distribution_to_obj,
     dumps,
     gatelist_to_obj,
     load_matrices,
-    load_matrix,
     matrix_to_obj,
-    obj_to_gate,
-    obj_to_gatelist,
     obj_to_matrix,
 )
 from naimark.wh import max_abs
@@ -30,7 +27,7 @@ def test_matrix_round_trip_bit_identical(tmp_path):
     a = rand_unitary(3, rng) / 3 + (1 / 3 + 1e-17j)  # awkward fractions on purpose
     path = tmp_path / "m.json"
     path.write_text(dumps(matrix_to_obj(a, 3)))
-    b, d = load_matrix(str(path))
+    [(b, d)] = load_matrices(str(path), "U")
     assert d == 3
     assert np.array_equal(a, b)  # exact, not approximate
 
@@ -57,13 +54,13 @@ def test_load_matrix_unwraps_build_bundles(tmp_path):
     inner = matrix_to_obj(np.eye(2), 2)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps({"U": inner, "other": 1}))
-    a, d = load_matrix(str(path))
+    [(a, d)] = load_matrices(str(path), "U")
     assert np.array_equal(a, np.eye(2))
 
 
 def test_load_matrix_missing_file():
     with pytest.raises(ParseError):
-        load_matrix("/nonexistent/never.json")
+        load_matrices("/nonexistent/never.json", "U")
 
 
 def test_gatelist_round_trip():
@@ -77,28 +74,17 @@ def test_gatelist_round_trip():
             Gate("U", (0, 1), matrix=rand_unitary(4, rng)),
         ),
     )
-    obj = gatelist_to_obj(circ)
-    back = obj_to_gatelist(json.loads(json.dumps(obj)))
-    assert back.n_qubits == 2
-    kinds = [g.kind for g in back]
-    assert kinds == ["H", "CR", "SWAP", "U"]
-    assert back.gates[1].dagger and back.gates[1].k == 2
+    obj = json.loads(json.dumps(gatelist_to_obj(circ)))
+    assert obj["n_qubits"] == 2
+    assert [g["kind"] for g in obj["gates"]] == ["H", "CR", "SWAP", "U"]
+    assert obj["gates"][1] == {"kind": "CR", "wires": [1, 0], "k": 2, "dagger": True}
+    # The written fields rebuild the circuit; nothing in the package reads them back.
+    back = GateList(obj["n_qubits"], [
+        Gate(g["kind"], g["wires"], k=g.get("k"), dagger=g.get("dagger", False),
+             matrix=np.array(g["re"]) + 1j * np.array(g["im"]) if "re" in g else None)
+        for g in obj["gates"]
+    ])
     assert max_abs(expand(back) - expand(circ)) < 1e-12
-
-
-def test_malformed_gatelist_rejected():
-    with pytest.raises(ParseError):
-        obj_to_gatelist({"gates": []})
-    with pytest.raises(ParseError):
-        obj_to_gatelist({"n_qubits": 1, "gates": [{"kind": "U", "wires": [0]}]})
-
-
-def test_non_unitary_u_gate_rejected():
-    gate = {"kind": "U", "wires": [0], "re": [[1, 1], [1, 1]], "im": [[0, 0], [0, 0]]}
-    with pytest.raises(InvalidInputError, match="not unitary"):
-        obj_to_gate(gate)
-    with pytest.raises(ParseError, match="not unitary"):
-        obj_to_gatelist({"n_qubits": 1, "gates": [gate]})
 
 
 def test_distribution_objects():
@@ -132,7 +118,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path_factory, data, rows, cols, d
     a.real, a.imag = np.reshape(re, shape), np.reshape(im, shape)  # keeps -0.0 real parts
     path = tmp_path_factory.mktemp("rt") / "m.json"
     path.write_text(dumps(matrix_to_obj(a, d)))
-    b, d_back = load_matrix(str(path))
+    [(b, d_back)] = load_matrices(str(path), "U")
     assert d_back == d
     assert np.array_equal(a.view(float), b.view(float))  # same bits, signed zeros included
     assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
@@ -142,9 +128,8 @@ def test_load_matrix_key_selects_bundle_entry(tmp_path):
     u, m = np.eye(4), np.array([[0, 1], [1, 0]], dtype=complex)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps({"M": matrix_to_obj(m, 2), "U": matrix_to_obj(u, 2)}))
-    assert np.array_equal(load_matrix(str(path), "M")[0], m)
-    assert np.array_equal(load_matrix(str(path))[0], u)
-    assert np.array_equal(load_matrix(str(path), "U")[0], u)
+    assert np.array_equal(load_matrices(str(path), "M")[0][0], m)
+    assert np.array_equal(load_matrices(str(path), "U")[0][0], u)
     (u2, d_u), (m2, d_m) = load_matrices(str(path), "U", "M")
     assert np.array_equal(u2, u) and np.array_equal(m2, m) and d_u == d_m == 2
 
@@ -154,7 +139,7 @@ def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
     a = np.array([[1, 2j], [3, 4]])
     path = tmp_path / "plain.json"
     path.write_text(dumps(matrix_to_obj(a, 2)))
-    b, d = load_matrix(str(path), key)
+    [(b, d)] = load_matrices(str(path), key)
     assert d == 2
     assert np.array_equal(a, b)
     assert all(np.array_equal(a, c) for c, _ in load_matrices(str(path), key, "U"))
@@ -170,10 +155,4 @@ def test_non_finite_matrix_entries_rejected(tmp_path, bad, part):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))  # Python writes NaN / Infinity tokens
     with pytest.raises(ParseError, match="non-finite"):
-        load_matrix(str(path))
-
-
-def test_non_finite_u_gate_rejected():
-    gate = {"kind": "U", "wires": [0], "re": [[1, 0], [0, float("nan")]], "im": [[0, 0], [0, 0]]}
-    with pytest.raises(ParseError, match="non-finite"):
-        obj_to_gatelist({"n_qubits": 1, "gates": [gate]})
+        load_matrices(str(path), "U")

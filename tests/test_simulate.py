@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from naimark import (
+    DensityMatrix,
     InvalidInputError,
     OutcomeDistribution,
     RankDeficientFrameError,
@@ -156,6 +157,22 @@ class TestOutcomeDistribution:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="non-finite"):
             OutcomeDistribution(2, np.array([0.5, 0.5, bad, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: OutcomeDistribution(2, [1.0, 0.0, 0.0]), "expected 4 probabilities, got 3"),
+        (lambda: DensityMatrix(2, np.eye(3) / 3), "expected a 2x2 matrix, got (3, 3)"),
+        (lambda: DensityMatrix(2, [[0.5, 0.5], [0, 0.5]]), "density matrix must be Hermitian"),
+        (lambda: DensityMatrix(2, np.eye(2)), "density matrix must have unit trace, got 2"),
+    ],
+    ids=["probs-length", "rho-shape", "rho-not-hermitian", "rho-trace"],
+)
+def test_result_type_guards(build, fragment):
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert fragment in str(info.value)
 
 
 class TestSampling:

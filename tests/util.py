@@ -285,11 +285,27 @@ def loop_embed_gate(mat, wires, n):
     return out
 
 
+def gate_matrix(g):
+    """A gate's unitary on its own wires (first listed wire = MSB), from its definition:
+    H, R(k) = diag(1, w), CR(k) = diag(1, 1, 1, w), SWAP, or the U matrix (its adjoint
+    under dagger), with w = exp(+-2 pi i / 2**k)."""
+    sign = -1 if g.dagger else 1
+    if g.kind == "H":
+        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    if g.kind == "R":
+        return np.diag([1, np.exp(sign * 2j * np.pi / 2**g.k)])
+    if g.kind == "CR":
+        return np.diag([1, 1, 1, np.exp(sign * 2j * np.pi / 2**g.k)])
+    if g.kind == "SWAP":
+        return np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    return g.matrix.conj().T if g.dagger else g.matrix
+
+
 def loop_expand(circuit):
     """Product of the embedded gate matrices, gates applied in list order."""
     total = np.eye(2**circuit.n_qubits, dtype=complex)
     for g in circuit.gates:
-        total = loop_embed_gate(g.local_matrix(), g.wires, circuit.n_qubits) @ total
+        total = loop_embed_gate(gate_matrix(g), g.wires, circuit.n_qubits) @ total
     return total
 
 
