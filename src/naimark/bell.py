@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block import PROVENANCE, NaimarkExtension
+from .block import NaimarkExtension
 from .errors import InvalidDimensionError
 from .fiducials import Fiducial
 from .wh import PHYSICAL_TOL, _omega_table, bell_change_of_basis, fourier, require_index, require_unitary
@@ -28,7 +28,7 @@ def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
     m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
     d = m.shape[0]
     u = (bell_change_of_basis(d).reshape(d**3, d) @ m.T).reshape(d * d, d * d)
-    return NaimarkExtension(d=d, M=m, U=u, provenance=PROVENANCE["bell"])
+    return NaimarkExtension(d=d, M=m, U=u)
 
 
 def controlled_shift(d: int) -> np.ndarray:

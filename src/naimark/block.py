@@ -29,24 +29,13 @@ from .wh import (
 )
 
 
-# The provenance tag of each route's extension, keyed by route name.  Both
-# routes define the same U; the tag only records which one built it.
-PROVENANCE = {"block": "block-construction", "bell": "bell-construction"}
-
-
 @dataclass(frozen=True, eq=False)
 class NaimarkExtension:
-    """Bundle of a completion matrix M, the full unitary U, and the route taken."""
+    """Bundle of a completion matrix M and the full unitary U it defines."""
 
     d: int
     M: np.ndarray
     U: np.ndarray
-    provenance: str
-
-    @property
-    def fiducial(self) -> np.ndarray:
-        """The fiducial ket encoded in row 0 of M."""
-        return self.M[0].conj()
 
 
 def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
@@ -122,7 +111,7 @@ def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
     """Full extension bundle via the block-circulant layout."""
     u = assemble_unitary(m)
     m = np.asarray(m, dtype=complex)
-    return NaimarkExtension(d=m.shape[0], M=m, U=u, provenance=PROVENANCE["block"])
+    return NaimarkExtension(d=m.shape[0], M=m, U=u)
 
 
 def block_constraint_violation(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> float:

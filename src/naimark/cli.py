@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bell import build_bell_naimark, controlled_clock, controlled_shift, fiducial_for_embedding
-from .block import PROVENANCE, build_block_naimark, complete_unitary, structure_report
+from .block import build_block_naimark, complete_unitary, structure_report
 from .circuits import (
     bell_rotation_circuit,
     cx_qudit_circuit,
@@ -41,6 +41,7 @@ from .fiducials import (
     compound_sic_report,
 )
 from .io import (
+    NUMBERS,
     counts_to_obj,
     distribution_to_obj,
     dumps,
@@ -84,9 +85,8 @@ def _parse_ket(text: str) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ParseError(f"ket is not valid JSON: {exc}") from exc
 
-    # json gives bool, str and None for true, "..." and null; none of them is a number.
     def number(x) -> bool:
-        return type(x) in (int, float)
+        return type(x) in NUMBERS
 
     def pair(x) -> bool:
         return type(x) is list and len(x) == 2 and all(map(number, x))
@@ -99,12 +99,10 @@ def _parse_ket(text: str) -> np.ndarray:
         raise ParseError(f"ket entry out of range: {exc}") from exc
 
 
-def _read_ket(inline: str | None, path: str | None, what: str, missing: str) -> np.ndarray:
-    """The ket given inline, else the one in the file at path; `missing` if neither."""
-    if inline:
+def _read_ket(inline: str | None, path: str, what: str) -> np.ndarray:
+    """The ket given inline, else the one in the file at path."""
+    if inline is not None:
         return _parse_ket(inline)
-    if not path:
-        raise InvalidInputError(missing)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _parse_ket(fh.read())
@@ -112,31 +110,26 @@ def _read_ket(inline: str | None, path: str | None, what: str, missing: str) -> 
         raise ParseError(f"cannot read {what} file: {exc}") from exc
 
 
-def _resolve_fiducial(args) -> Fiducial:
-    if args.catalog:
+def _resolve_fiducial(args) -> tuple[Fiducial, np.ndarray, str]:
+    """The fiducial, its completion M, and M's source: the catalog, else "completed"."""
+    if args.catalog is not None:
         entry = CATALOG.get(args.catalog)
         if entry is None:
             known = ", ".join(sorted(CATALOG))
             raise InvalidInputError(f"unknown catalog label {args.catalog!r}; known: {known}")
-        return builtin_fiducial(len(entry.ket), entry.label)
-    missing = "provide a fiducial via --catalog, --ket, or --ket-file"
-    ket = _read_ket(args.ket, args.ket_file, "ket", missing)
-    return Fiducial(dim=ket.shape[0], ket=ket, label="inline")
-
-
-def _completion_for(fid: Fiducial) -> tuple[np.ndarray, str]:
-    """Catalog completion when the fiducial is cataloged, else deterministic."""
-    entry = CATALOG.get(fid.label)
-    if entry is not None and entry.m is not None:
-        return entry.m.copy(), entry.m_label
-    return complete_unitary(fid), "completed"
+        fid = builtin_fiducial(len(entry.ket), entry.label)
+        if entry.m is not None:
+            return fid, entry.m.copy(), entry.m_label
+    else:
+        ket = _read_ket(args.ket, args.ket_file, "ket")
+        fid = Fiducial(dim=ket.shape[0], ket=ket, label="inline")
+    return fid, complete_unitary(fid), "completed"
 
 
 def cmd_build(args) -> int:
     tol = _tol(args)
-    fid = _resolve_fiducial(args)
-    m, m_source = _completion_for(fid)
-    ext = (build_bell_naimark if args.construction == "bell" else build_block_naimark)(m)
+    fid, m, m_source = _resolve_fiducial(args)
+    ext = build_block_naimark(m)
     residual = unitarity_residual(ext.U)
     ic = is_informationally_complete(fid, tol=tol)
     if not ic:
@@ -148,7 +141,6 @@ def cmd_build(args) -> int:
         )
     out = {
         "d": ext.d,
-        "construction": ext.provenance,
         "fiducial_label": fid.label,
         "completion_source": m_source,
         "unitarity_residual": residual,
@@ -158,19 +150,8 @@ def cmd_build(args) -> int:
         "U": matrix_to_obj(ext.U, ext.d),
     }
     _emit(out, args.out)
-    print(f"{ext.provenance}: d={ext.d}, unitarity residual {residual:.3e}", file=sys.stderr)
+    print(f"build: d={ext.d}, unitarity residual {residual:.3e}", file=sys.stderr)
     return 0
-
-
-# structure_report residuals that verify gates on, in output order.
-_VERIFY_CHECKS = (
-    "unitarity",
-    "block_circulant",
-    "block_rank_one",
-    "recovered_m_unitarity",
-    "block_constraints",
-    "m_match",  # only when --m is given
-)
 
 
 def cmd_verify(args) -> int:
@@ -183,7 +164,7 @@ def cmd_verify(args) -> int:
     report = structure_report(u, m)
     if report["d"] != d:
         print(f"warning: file says d={d} but U is {u.shape[0]}x{u.shape[1]}", file=sys.stderr)
-    checks = {k: report[k] for k in _VERIFY_CHECKS if k in report}
+    checks = {k: v for k, v in report.items() if k not in ("d", "recovered_m")}
     ok = all(v <= tol for v in checks.values())
     out = {"d": report["d"], "tol": tol, "checks": checks, "pass": ok}
     if ok:
@@ -203,14 +184,12 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--shots", args.shots), ("--seed", args.seed)):
         if value < 0:
             raise InvalidInputError(f"{flag} must be >= 0, got {value}")
-    fid = _resolve_fiducial(args)
-    missing = "provide an input state via --state or --state-file"
-    psi = _read_ket(args.state, args.state_file, "state", missing)
+    fid, m, m_source = _resolve_fiducial(args)
+    psi = _read_ket(args.state, args.state_file, "state")
     require_normalized(psi, "input state")
     if psi.shape[0] != fid.dim:
         raise InvalidInputError(f"state has dim {psi.shape[0]}, fiducial has dim {fid.dim}")
 
-    m, m_source = _completion_for(fid)
     dist = measure_probabilities(m, psi, args.index)
     out = distribution_to_obj(fid.dim, dist.probs)
     out["completion_source"] = m_source
@@ -251,6 +230,8 @@ _MAX_EXPAND_N = 5
 
 def cmd_circuit(args) -> int:
     tol = _tol(args)
+    if args.target != "naimark" and args.m is not None:
+        raise InvalidInputError(f"only `circuit naimark` reads --m, not `circuit {args.target}`")
     n = args.n
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
@@ -314,9 +295,10 @@ def cmd_catalog(args) -> int:
 
 
 def _add_fiducial_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--catalog", help="catalog fiducial label (see `naimark catalog`)")
-    p.add_argument("--ket", help="inline JSON ket: [[re,im],...] or [re,...]")
-    p.add_argument("--ket-file", help="file containing a JSON ket")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog", help="catalog fiducial label (see `naimark catalog`)")
+    source.add_argument("--ket", help="inline JSON ket: [[re,im],...] or [re,...]")
+    source.add_argument("--ket-file", help="file containing a JSON ket")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", parents=[common],
                        help="construct the extension unitary from a fiducial")
     _add_fiducial_flags(p)
-    p.add_argument("--construction", choices=tuple(PROVENANCE), default="block")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", parents=[common],
@@ -346,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="outcome distribution for an input state")
     _add_fiducial_flags(p)
-    p.add_argument("--state", help="inline JSON ket for the input state")
-    p.add_argument("--state-file")
+    state = p.add_mutually_exclusive_group(required=True)
+    state.add_argument("--state", help="inline JSON ket for the input state")
+    state.add_argument("--state-file")
     p.add_argument("--index", type=int, default=0, help="embedding index i (default 0)")
     p.add_argument("--shots", type=int, default=0, help="sampled counts (0 = exact only)")
     p.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,10 @@ Matrix files are plain JSON objects
     {"d": int, "rows": int, "cols": int, "re": [[...]], "im": [[...]]}
 
 with row-major nested arrays; Python's repr-based float serialization makes
-the round trip bit-exact.  The `circuit` command writes gate lists as
+the round trip bit-exact.  Reading is strict, by the rule kets follow too:
+only JSON ints and floats are numbers, and `d`, `rows` and `cols` must be
+ints.  A bundle, such as `build` output, holds matrices under keys, and a
+missing key is named.  The `circuit` command writes gate lists as
 
     {"n_qubits": int, "gates": [{"kind": "H"|"R"|"CR"|"SWAP"|"U", ...}]}
 
@@ -34,6 +37,10 @@ from .errors import ParseError
 
 # json's own encoder for scalars: what json.dumps runs with allow_nan=False.
 _SCALAR = json.JSONEncoder(allow_nan=False)
+
+# The types of JSON numbers as json parses them.  json also gives bool for true and
+# false, str and None; none of them is a number, and nothing coerces them into one.
+NUMBERS = frozenset((int, float))
 
 
 def dumps(obj) -> str:
@@ -139,12 +146,13 @@ def obj_to_matrix(obj: dict) -> tuple[np.ndarray, int]:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     try:
-        d = int(obj["d"])
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        d, rows, cols, re, im = (obj[k] for k in ("d", "rows", "cols", "re", "im"))
+        if {type(d), type(rows), type(cols)} != {int}:
+            raise TypeError("d, rows and cols must be JSON integers")
+        if not set(map(type, chain(*re, *im))) <= NUMBERS:  # the entries of the rows
+            raise TypeError("re and im must hold JSON numbers only")
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ParseError(
@@ -166,7 +174,10 @@ def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     bundle = isinstance(obj, dict) and "re" not in obj
-    return [obj_to_matrix(obj[key] if bundle and key in obj else obj) for key in keys]
+    missing = [key for key in keys if bundle and key not in obj]
+    if missing:
+        raise ParseError(f"matrix file {path} has no {missing[0]!r} entry")
+    return [obj_to_matrix(obj[key] if bundle else obj) for key in keys]
 
 
 def gate_to_obj(g: Gate) -> dict:

@@ -61,12 +61,6 @@ def test_block_and_bell_routes_agree(d):
         assert max_abs(u_block - u_bell) < 1e-10
 
 
-def test_provenance_tags():
-    m = catalog_m("qubit")
-    assert build_block_naimark(m).provenance == "block-construction"
-    assert build_bell_naimark(m).provenance == "bell-construction"
-
-
 def test_matrix_element_trivial_entries():
     rng = np.random.default_rng(2)
     for d in (2, 3, 4):

@@ -137,7 +137,6 @@ class TestAssembly:
     def test_hesse_reproduces_expected_nine_by_nine(self):
         ext = build_block_naimark(catalog_m("hesse"))
         assert max_abs(ext.U - expected_hesse_u()) < 1e-12
-        assert ext.provenance == "block-construction"
 
     def test_qubit_reproduces_expected_four_by_four(self):
         ext = build_block_naimark(catalog_m("qubit"))
@@ -177,11 +176,6 @@ class TestAssembly:
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidInputError):
             build_block_naimark(np.ones((2, 2)))
-
-    def test_fiducial_property(self):
-        fid = builtin_fiducial(3, "hesse")
-        ext = build_block_naimark(catalog_m("hesse"))
-        assert max_abs(ext.fiducial - fid.ket) < 1e-15
 
 
 class TestDiagonalBlocks:

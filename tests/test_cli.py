@@ -36,30 +36,74 @@ def test_catalog_lists_everything(capsys):
     assert sorted(c["label"] for c in doc["completions"]) == ["hesse", "qubit", "ququart"]
 
 
+# The keys of `build`, in output order.
+BUILD_KEYS = [
+    "d", "fiducial_label", "completion_source", "unitarity_residual",
+    "informationally_complete", "sic_deviation", "M", "U",
+]
+
+
 def test_build_hesse_block(capsys, tmp_path):
     out_path = tmp_path / "hesse.json"
-    rc, _, err = run(capsys, "build", "--catalog", "hesse", "--construction", "block",
-                     "--out", str(out_path))
+    rc, _, err = run(capsys, "build", "--catalog", "hesse", "--out", str(out_path))
     assert rc == 0
-    assert "unitarity residual" in err
+    assert err.startswith("build: d=3, unitarity residual ")
     doc = json.loads(out_path.read_text())
+    assert list(doc) == BUILD_KEYS
     u, d = obj_to_matrix(doc["U"])
     assert d == 3
     assert max_abs(u - expected_hesse_u()) < 1e-12
-    assert doc["construction"] == "block-construction"
     assert doc["informationally_complete"] is True
 
 
-def test_build_bell_equals_block(capsys, tmp_path):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(capsys, "build", "--catalog", "qubit-sic", "--construction", "block",
-               "--out", str(p1))[0] == 0
-    assert run(capsys, "build", "--catalog", "qubit-sic", "--construction", "bell",
-               "--out", str(p2))[0] == 0
-    u1, _ = obj_to_matrix(json.loads(p1.read_text())["U"])
-    u2, _ = obj_to_matrix(json.loads(p2.read_text())["U"])
-    assert max_abs(u1 - u2) < 1e-12
-    assert max_abs(u1 - expected_qubit_u()) < 1e-12
+# Each command names its fiducial, and simulate its input state, by exactly one flag.
+NO_FIDUCIAL = "error: one of the arguments --catalog --ket --ket-file is required"
+NO_STATE = "error: one of the arguments --state --state-file is required"
+KET_AFTER_CATALOG = "error: argument --ket: not allowed with argument --catalog"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build"], NO_FIDUCIAL),
+        (["build", "--catalog", "hesse", "--ket", "[1, 0]"], KET_AFTER_CATALOG),
+        (["build", "--ket", "[1, 0]", "--ket-file", "ket.json"],
+         "error: argument --ket-file: not allowed with argument --ket"),
+        (["simulate", "--state", "[1, 0]"], NO_FIDUCIAL),
+        (["simulate", "--catalog", "qubit-sic", "--ket", "[1, 0]", "--state", "[1, 0]"],
+         KET_AFTER_CATALOG),
+        (["simulate", "--catalog", "qubit-sic"], NO_STATE),
+        (["simulate", "--catalog", "qubit-sic", "--state", "[1, 0]", "--state-file", "state.json"],
+         "error: argument --state-file: not allowed with argument --state"),
+    ],
+    ids=["build-none", "build-two", "build-two-ket", "simulate-none", "simulate-two",
+         "simulate-no-state", "simulate-two-states"],
+)
+def test_each_input_has_exactly_one_source(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message",
+    [
+        (["build", "--ket", ""], 3, "error: ket is not valid JSON"),
+        (["build", "--ket-file", ""], 3, "error: cannot read ket file"),
+        (["build", "--catalog", ""], 2, "error: unknown catalog label ''"),
+        (["simulate", "--catalog", "qubit-sic", "--state", ""], 3, "error: ket is not valid JSON"),
+        (["simulate", "--catalog", "qubit-sic", "--state-file", ""], 3,
+         "error: cannot read state file"),
+    ],
+    ids=["ket", "ket-file", "catalog", "state", "state-file"],
+)
+def test_an_empty_flag_value_is_still_the_source(capsys, argv, rc, message):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (rc, "")
+    assert err.startswith(message)
 
 
 def test_build_non_ic_inline_ket_warns_but_succeeds(capsys):
@@ -143,6 +187,38 @@ def test_verify_malformed_file(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", "--u", str(path))
     assert rc == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda u: u.update(re=[[str(x) for x in row] for row in u["re"]]),
+        lambda u: u.update(d=3.9),
+        lambda u: u.update(rows="9"),
+        lambda u: u["re"][0].__setitem__(0, True),
+        lambda u: u["im"][1].__setitem__(2, None),
+    ],
+    ids=["string-entries", "float-d", "string-rows", "true-entry", "null-entry"],
+)
+def test_verify_reads_only_json_numbers(capsys, tmp_path, spoil):
+    path = tmp_path / "hesse.json"
+    run(capsys, "build", "--catalog", "hesse", "--out", str(path))
+    doc = json.loads(path.read_text())
+    spoil(doc["U"])
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "--u", str(path))
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: malformed matrix object: ")
+
+
+def test_verify_names_the_entry_a_bundle_lacks(capsys, tmp_path):
+    catalog, u_only = tmp_path / "catalog.json", tmp_path / "u.json"
+    run(capsys, "catalog", "--out", str(catalog))
+    rc, out, err = run(capsys, "verify", "--u", str(catalog))
+    assert (rc, out, err) == (3, "", f"error: matrix file {catalog} has no 'U' entry\n")
+    u_only.write_text(dumps({"U": matrix_to_obj(expected_hesse_u(), 3)}))
+    rc, out, err = run(capsys, "verify", "--u", str(u_only), "--m", str(u_only))
+    assert (rc, out, err) == (3, "", f"error: matrix file {u_only} has no 'M' entry\n")
 
 
 def test_tol_comes_from_the_flag_alone(capsys, tmp_path, monkeypatch):
@@ -395,10 +471,16 @@ def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d):
     assert err.startswith("oracle cross-check residual ")
 
 
-def test_simulate_takes_no_construction(capsys):
-    # Both routes define the same U and simulate builds neither, so there is no route to pick.
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--catalog", "hesse"], ["simulate", "--catalog", "hesse", "--state", "[1, 0, 0]"]],
+    ids=["build", "simulate"],
+)
+def test_no_command_takes_construction(capsys, argv):
+    # The block and Bell routes define the same U: build lays out the blocks, simulate builds
+    # no U, and the Bell route is a library function the tests cross-check.
     with pytest.raises(SystemExit) as info:
-        main(["simulate", "--catalog", "hesse", "--state", "[1, 0, 0]", "--construction", "bell"])
+        main([*argv, "--construction", "bell"])
     assert info.value.code == 2
     assert "unrecognized arguments: --construction bell" in capsys.readouterr().err
 
@@ -488,6 +570,15 @@ def test_circuit_without_expand_builds_no_closed_form(capsys, monkeypatch, tmp_p
     path = tmp_path / "m.json"
     path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 4)))
     assert run(capsys, "circuit", "naimark", "--n", "2", "--m", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("target", ["fourier", "bell", "cz", "cx"])
+def test_only_circuit_naimark_reads_m(capsys, tmp_path, target):
+    path = tmp_path / "m.json"
+    path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 4)))
+    rc, out, err = run(capsys, "circuit", target, "--n", "2", "--m", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: only `circuit naimark` reads --m, not `circuit {target}`\n"
 
 
 def test_circuit_naimark_still_rejects_a_non_unitary_m(capsys, tmp_path):

@@ -48,6 +48,23 @@ def test_malformed_matrix_objects_rejected():
         obj_to_matrix({"rows": 2, "cols": 2})
     with pytest.raises(ParseError):
         obj_to_matrix([1, 2, 3])
+    # Only JSON ints and floats are numbers, and d, rows and cols are ints: nothing is coerced.
+    eye = matrix_to_obj(np.eye(2), 2)
+    for bad in [
+        {**eye, "re": [["1.0", "0.0"], ["0.0", "1.0"]]},
+        {**eye, "d": 3.9},
+        {**eye, "d": True},
+        {**eye, "rows": "2"},
+        {**eye, "cols": 2.0},
+        {**eye, "re": [[True, 0.0], [0.0, 1.0]]},
+        {**eye, "im": [[0.0, None], [0.0, 0.0]]},
+        {**eye, "im": [[0.0, [0.0]], [0.0, 0.0]]},
+        {**eye, "re": "1001"},
+        {**eye, "re": [[1.0, 0.0], [0.0]]},
+        {**eye, "re": [[1.0, 0.0], [0.0, 10**400]]},
+    ]:
+        with pytest.raises(ParseError, match="malformed matrix object"):
+            obj_to_matrix(bad)
 
 
 def test_load_matrix_unwraps_build_bundles(tmp_path):

@@ -126,7 +126,7 @@ def cli_outputs(tmp_path, capsys):
     commands = [
         ["catalog"],
         ["build", "--catalog", "hesse"],
-        ["build", "--catalog", "ququart-sic", "--construction", "bell", "--out", str(build_path)],
+        ["build", "--catalog", "ququart-sic", "--out", str(build_path)],
         ["verify", "--u", str(build_path), "--m", str(build_path)],
         ["simulate", "--catalog", "qubit-sic", "--state", "[1,0]", "--check", "--shots", "100"],
         ["circuit", "cz", "--n", "2", "--expand"],
