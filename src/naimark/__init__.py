@@ -1,10 +1,11 @@
 """Naimark extensions of Weyl-Heisenberg covariant rank-one measurements.
 
 The package constructs the d^2 x d^2 interaction unitary for any rank-one
-WH covariant POVM from a single d x d completion matrix, via two provably
-identical routes (a block-circulant layout and a generalized Bell-basis
-rotation), decomposes it into qubit gates when d = 2**n, and simulates and
-verifies the resulting measurements against direct Born-rule oracles.
+WH covariant POVM from a single d x d completion matrix, via three provably
+identical routes (a block-circulant layout, a generalized Bell-basis rotation
+and its controlled-clock dual), decomposes it into qubit gates when
+d = 2**n, and simulates and verifies the resulting measurements against
+direct Born-rule oracles.
 """
 
 __version__ = "0.1.0"
@@ -12,18 +13,13 @@ __version__ = "0.1.0"
 from .bell import (
     build_bell_naimark,
     clock_decomposition,
-    controlled_clock,
-    controlled_shift,
     fiducial_for_embedding,
 )
 from .block import (
     NaimarkExtension,
-    block_constraint_violation,
     build_block_naimark,
     complete_unitary,
     diagonal_blocks,
-    extract_blocks,
-    structure_report,
 )
 from .circuits import (
     Gate,
@@ -65,7 +61,6 @@ from .simulate import (
     direct_probabilities,
     embed,
     measure_probabilities,
-    sample,
     tomography_reconstruct,
 )
 from .wh import (
@@ -102,7 +97,6 @@ __all__ = [
     "apply_circuit",
     "bell_change_of_basis",
     "bell_vector",
-    "block_constraint_violation",
     "build_bell_naimark",
     "build_block_naimark",
     "builtin_fiducial",
@@ -111,8 +105,6 @@ __all__ = [
     "clock_op",
     "complete_unitary",
     "compound_sic_report",
-    "controlled_clock",
-    "controlled_shift",
     "cx_qudit_circuit",
     "cz_qudit_circuit",
     "diagonal_blocks",
@@ -120,7 +112,6 @@ __all__ = [
     "displacement",
     "embed",
     "expand",
-    "extract_blocks",
     "fiducial_for_embedding",
     "fourier",
     "full_naimark_circuit",
@@ -129,10 +120,8 @@ __all__ = [
     "qcz_circuit",
     "qudit_fourier_circuit",
     "qudit_z_circuit",
-    "sample",
     "shift_op",
     "sic_report",
-    "structure_report",
     "tomography_reconstruct",
     "wh_orbit",
 ]

@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .fiducials import Fiducial, as_ket
-from .wh import (
-    DEFAULT_TOL,
-    PHYSICAL_TOL,
-    fourier,
-    max_abs,
-    require_normalized,
-    require_unitary,
-    unitarity_residual,
-)
+from .wh import PHYSICAL_TOL, fourier, max_abs, require_normalized, require_unitary, unitarity_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +42,6 @@ def complete_unitary(phi: Fiducial | np.ndarray) -> np.ndarray:
     drop = int(np.argmax(np.abs(ket)))
     q, r = np.linalg.qr(np.column_stack([ket.conj(), np.delete(np.eye(d), drop, axis=1)]))
     r_diag = np.diag(r)
-    if np.abs(r_diag).min() < DEFAULT_TOL:
-        raise NumericalFailureError("Gram-Schmidt collapse while completing the unitary")
     m = (q * (r_diag / np.abs(r_diag))).T
     m[0] = ket.conj()
     return m
@@ -78,26 +68,6 @@ def _circulant(s: np.ndarray):
         yield (slice(k, k + d), slice(0, k)), row[:, d * d - k :]
 
 
-def _stack(blocks) -> np.ndarray:
-    """A block row given as d blocks, each d x d, as one (d, d, d) array."""
-    s = [np.asarray(b, dtype=complex) for b in blocks]
-    d = len(s)
-    if d == 0:
-        raise InvalidInputError("need at least one block")
-    if any(b.shape != (d, d) for b in s):
-        raise InvalidInputError(f"expected {d} blocks of shape ({d}, {d}), got {[b.shape for b in s]}")
-    return np.array(s)
-
-
-def assemble_unitary(m: np.ndarray) -> np.ndarray:
-    """Lay the rank-one blocks out block-circulantly into the full unitary."""
-    m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
-    u = np.empty((m.shape[0] ** 2,) * 2, dtype=complex)
-    for index, part in _circulant(_block_row(m)):
-        u[index] = part
-    return u
-
-
 def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
     """Fourier block-diagonalization blocks, U_j = F^dag Z^{-j} M^T.
 
@@ -108,31 +78,12 @@ def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
 
 
 def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
-    """Full extension bundle via the block-circulant layout."""
-    u = assemble_unitary(m)
-    m = np.asarray(m, dtype=complex)
+    """Full extension bundle: the rank-one blocks laid out block-circulantly."""
+    m = require_unitary(m, PHYSICAL_TOL, "completion matrix M")
+    u = np.empty((m.shape[0] ** 2,) * 2, dtype=complex)
+    for index, part in _circulant(_block_row(m)):
+        u[index] = part
     return NaimarkExtension(d=m.shape[0], M=m, U=u)
-
-
-def block_constraint_violation(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> float:
-    """Max violation of the unitarity constraints sum_j S_j^dag S_{j+k} = delta_k0 I.
-
-    The left side is ifft_p(S^_p^dag S^_p) with S^ = fft(S) over the block index.
-    """
-    sh = np.fft.fft(_stack(blocks), axis=0)
-    c = np.fft.ifft(sh.conj().transpose(0, 2, 1) @ sh, axis=0)
-    c[0] -= np.eye(c.shape[1])
-    return max_abs(c)
-
-
-def extract_blocks(u: np.ndarray) -> list[np.ndarray]:
-    """First block row [S_0 ... S_{d-1}] of a d^2 x d^2 matrix."""
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0] if u.ndim else 0
-    d = int(round(np.sqrt(n)))
-    if u.shape != (n, n) or d * d != n or n == 0:
-        raise InvalidInputError(f"expected a d^2 x d^2 matrix, got shape {u.shape}")
-    return [u[0:d, t * d : (t + 1) * d] for t in range(d)]
 
 
 def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
@@ -144,10 +95,13 @@ def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
     max-norm residuals; `recovered_m` is the completion matrix implied by U.
     """
     u = np.asarray(u, dtype=complex)
-    s = np.array(extract_blocks(u))
-    d = len(s)
+    n = u.shape[0] if u.ndim else 0
+    d = int(round(np.sqrt(n)))
+    if u.shape != (n, n) or d * d != n or n == 0:
+        raise InvalidInputError(f"expected a d^2 x d^2 matrix, got shape {u.shape}")
     if m is not None and np.shape(m) != (d, d):
         raise InvalidInputError(f"completion matrix must be {d} x {d} to match U, got {np.shape(m)}")
+    s = u[:d].reshape(d, d, d).transpose(1, 0, 2)  # the first block row, s[t] = block (0, t)
     report: dict = {"d": d, "unitarity": unitarity_residual(u)}
     report["block_circulant"] = max(max_abs(u[index] - part) for index, part in _circulant(s))
     # Each block must equal |f_q><f_q| S_q; the surviving bra is a row of M^T.
@@ -156,7 +110,11 @@ def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:
     report["block_rank_one"] = max_abs(s - _block_row(m_rec))
     report["recovered_m"] = m_rec
     report["recovered_m_unitarity"] = unitarity_residual(m_rec)
-    report["block_constraints"] = block_constraint_violation(s)
+    # The constraints sum_j S_j^dag S_{j+k} = delta_k0 I are ifft_p(S^_p^dag S^_p), S^ = fft(S).
+    sh = np.fft.fft(s, axis=0)
+    c = np.fft.ifft(sh.conj().transpose(0, 2, 1) @ sh, axis=0)
+    c[0] -= np.eye(d)
+    report["block_constraints"] = max_abs(c)
     if m is not None:
         report["m_match"] = max_abs(m_rec - np.asarray(m, dtype=complex))
     return report

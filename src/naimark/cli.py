@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
         (u, d), (m, _) = load_matrices(args.u, "U", "M")
     else:
         [(u, d)] = load_matrices(args.u, "U")
-        m = load_matrices(args.m, "M")[0][0] if args.m else None
+        m = load_matrices(args.m, "M")[0][0] if args.m is not None else None
     report = structure_report(u, m)
     if report["d"] != d:
         print(f"warning: file says d={d} but U is {u.shape[0]}x{u.shape[1]}", file=sys.stderr)
@@ -242,7 +242,7 @@ def cmd_circuit(args) -> int:
     d = 2**n
     m = None
     if args.target == "naimark":
-        if not args.m:
+        if args.m is None:
             raise InvalidInputError("circuit naimark needs --m FILE")
         [(m, _)] = load_matrices(args.m, "M")
         if m.shape != (d, d):

@@ -45,9 +45,6 @@ class OutcomeDistribution:
             raise InvalidInputError(f"probabilities sum to {total:.12g}, expected 1")
         object.__setattr__(self, "probs", p)
 
-    def prob(self, j: int, k: int) -> float:
-        return float(self.probs[(j % self.dim) * self.dim + (k % self.dim)])
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

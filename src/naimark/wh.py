@@ -36,7 +36,7 @@ def unitarity_residual(a: np.ndarray) -> float:
     return max_abs(a.conj().T @ a - np.eye(a.shape[0]))
 
 
-def require_unitary(a: np.ndarray, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+def require_unitary(a: np.ndarray, tol: float, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"{what} must be square, got shape {a.shape}")

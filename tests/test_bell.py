@@ -16,13 +16,12 @@ from naimark import (
     builtin_fiducial,
     catalog_m,
     clock_decomposition,
-    controlled_clock,
-    controlled_shift,
     displacement,
     fiducial_for_embedding,
     is_informationally_complete,
     sic_report,
 )
+from naimark.bell import controlled_clock, controlled_shift
 from naimark.cli import main
 from naimark.wh import DEFAULT_TOL, max_abs
 

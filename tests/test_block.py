@@ -5,17 +5,15 @@ import pytest
 
 from naimark import (
     InvalidInputError,
-    block_constraint_violation,
     build_block_naimark,
     builtin_fiducial,
     catalog_m,
     complete_unitary,
     diagonal_blocks,
     displacement,
-    extract_blocks,
     fourier,
-    structure_report,
 )
+from naimark.block import structure_report
 from naimark.errors import CatalogMissError
 from naimark.wh import max_abs
 
@@ -24,8 +22,10 @@ from util import (
     expected_hesse_u,
     expected_qubit_diag_blocks,
     expected_qubit_u,
+    first_block_row,
     kron_reassemble,
     loop_blocks,
+    loop_layout,
     rand_ket,
     rand_unitary,
 )
@@ -33,7 +33,12 @@ from util import (
 
 def blocks(m):
     """The first block row [S_0 .. S_{d-1}] of the block route's U."""
-    return extract_blocks(build_block_naimark(m).U)
+    return first_block_row(build_block_naimark(m).U)
+
+
+def constraints(blocks):
+    """The block constraints structure_report reads off the circulant of these blocks."""
+    return structure_report(loop_layout(blocks))["block_constraints"]
 
 
 class TestCompleteUnitary:
@@ -153,7 +158,7 @@ class TestAssembly:
         for _ in range(20):
             ext = build_block_naimark(rand_unitary(d, rng))
             assert max_abs(ext.U.conj().T @ ext.U - np.eye(d * d)) < 1e-10
-            s = extract_blocks(ext.U)
+            s = first_block_row(ext.U)
             for r in range(d):
                 for t in range(d):
                     block = ext.U[r * d : (r + 1) * d, t * d : (t + 1) * d]
@@ -225,7 +230,7 @@ class TestReassembly:
         rng = np.random.default_rng(3)
         u = kron_reassemble([rand_unitary(3, rng) for _ in range(3)])
         assert max_abs(u.conj().T @ u - np.eye(9)) < 1e-12
-        s = extract_blocks(u)
+        s = first_block_row(u)
         for r in range(3):
             for t in range(3):
                 assert max_abs(u[r * 3 : (r + 1) * 3, t * 3 : (t + 1) * 3] - s[(t - r) % 3]) < 1e-12
@@ -234,17 +239,17 @@ class TestReassembly:
 class TestBlockConstraints:
     def test_unitary_completion_satisfies_constraints(self):
         for label in ("qubit", "hesse", "ququart"):
-            assert block_constraint_violation(loop_blocks(catalog_m(label))) < 1e-12
+            assert constraints(loop_blocks(catalog_m(label))) < 1e-12
         rng = np.random.default_rng(8)
         for d in (2, 3, 5):
-            assert block_constraint_violation(loop_blocks(rand_unitary(d, rng))) < 1e-12
+            assert constraints(loop_blocks(rand_unitary(d, rng))) < 1e-12
 
     def test_duplicated_row_violates(self):
         bad = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
-        assert block_constraint_violation(loop_blocks(bad)) > 0.1
+        assert constraints(loop_blocks(bad)) > 0.1
 
     def test_single_trivial_block(self):
-        assert block_constraint_violation([np.array([[1.0]])]) == pytest.approx(0.0, abs=1e-15)
+        assert constraints([np.array([[1.0]])]) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestStructureReport:

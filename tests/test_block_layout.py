@@ -16,19 +16,18 @@ from hypothesis import strategies as st
 import naimark
 from naimark import (
     InvalidInputError,
-    block_constraint_violation,
     build_bell_naimark,
     build_block_naimark,
     catalog_m,
     clock_decomposition,
     diagonal_blocks,
-    extract_blocks,
-    structure_report,
 )
+from naimark.block import structure_report
 from naimark.wh import max_abs
 
 from util import (
     closed_form_u,
+    first_block_row,
     loop_block_constraints,
     loop_blocks,
     loop_layout,
@@ -62,7 +61,8 @@ def block_stacks(draw):
 @given(unitaries())
 def test_blocks_and_unitary_equal_the_loop_layout(m):
     u = build_block_naimark(m).U
-    assert all(np.array_equal(a, b) for a, b in zip(extract_blocks(u), loop_blocks(m), strict=True))
+    pairs = zip(first_block_row(u), loop_blocks(m), strict=True)
+    assert all(np.array_equal(a, b) for a, b in pairs)
     assert np.array_equal(u, loop_layout(loop_blocks(m)))
 
 
@@ -77,7 +77,8 @@ def test_diagonal_blocks_match_matrix_powers(m):
 @PROPERTY
 @given(block_stacks())
 def test_block_constraints_of_random_blocks_match_double_loop(blocks):
-    assert abs(block_constraint_violation(blocks) - loop_block_constraints(blocks)) < FFT_TOL
+    got = structure_report(loop_layout(blocks))["block_constraints"]
+    assert abs(got - loop_block_constraints(blocks)) < FFT_TOL
 
 
 @PROPERTY
@@ -125,18 +126,6 @@ class TestBlockInputs:
         with pytest.raises(InvalidInputError, match="d\\^2 x d\\^2"):
             structure_report(u)
 
-    def test_block_constraints_need_a_block(self):
-        with pytest.raises(InvalidInputError, match="at least one block"):
-            block_constraint_violation([])
-
-    @pytest.mark.parametrize(
-        "blocks",
-        [[np.eye(2), np.eye(3)], [np.eye(2), np.ones((2, 3))], [np.ones((2, 3))] * 2, [np.eye(3)] * 2],
-    )
-    def test_block_rows_must_be_d_blocks_of_d_by_d(self, blocks):
-        with pytest.raises(InvalidInputError, match="blocks of shape"):
-            block_constraint_violation(blocks)
-
     @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))])
     def test_non_square_completion_rejected(self, m):
         with pytest.raises(InvalidInputError, match="must be square"):
@@ -166,7 +155,6 @@ def test_block_layer_has_no_kron_power_or_per_block_fourier_at_d32(monkeypatch):
     cases = {
         "build_block_naimark": lambda: build_block_naimark(m),
         "diagonal_blocks": lambda: diagonal_blocks(m),
-        "block_constraint_violation": lambda: block_constraint_violation(extract_blocks(u)),
         "structure_report": lambda: structure_report(u, m),
     }
     for name, run in cases.items():

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from naimark import bell_change_of_basis, catalog_m, sic_report, structure_report
+from naimark import (
+    OutcomeDistribution,
+    bell_change_of_basis,
+    build_bell_naimark,
+    catalog_m,
+    sic_report,
+)
+from naimark.block import structure_report
 from naimark.cli import main
 from naimark.io import dumps, load_matrices, matrix_to_obj, obj_to_matrix
 from naimark.wh import max_abs
@@ -97,10 +104,14 @@ def test_each_input_has_exactly_one_source(capsys, argv, message):
         (["simulate", "--catalog", "qubit-sic", "--state", ""], 3, "error: ket is not valid JSON"),
         (["simulate", "--catalog", "qubit-sic", "--state-file", ""], 3,
          "error: cannot read state file"),
+        (["verify", "--u", "hesse.json", "--m", ""], 3, "error: cannot read matrix file : "),
+        (["circuit", "naimark", "--n", "1", "--m", ""], 3, "error: cannot read matrix file : "),
     ],
-    ids=["ket", "ket-file", "catalog", "state", "state-file"],
+    ids=["ket", "ket-file", "catalog", "state", "state-file", "verify-m", "circuit-m"],
 )
-def test_an_empty_flag_value_is_still_the_source(capsys, argv, rc, message):
+def test_an_empty_flag_value_is_still_the_source(capsys, monkeypatch, tmp_path, argv, rc, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "build", "--catalog", "hesse", "--out", "hesse.json")[0] == 0
     got, out, err = run(capsys, *argv)
     assert (got, out) == (rc, "")
     assert err.startswith(message)
@@ -249,6 +260,20 @@ def test_simulate_qubit_basis_state(capsys):
     assert "counts" not in doc  # shots=0 keeps it exact-only
 
 
+def test_simulate_check_exits_1_when_the_oracle_disagrees(capsys, monkeypatch):
+    import naimark.cli as cli
+
+    point = OutcomeDistribution(dim=2, probs=np.eye(4)[0])  # all weight on outcome (0, 0)
+    monkeypatch.setattr(cli, "direct_probabilities", lambda *_: point)
+    rc, out, err = run(capsys, "simulate", "--catalog", "qubit-sic", "--state", "[1, 0]",
+                       "--check")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["check_residual"] == max_abs(np.array(doc["probs"]) - point.probs)
+    assert doc["check_residual"] > 0.5
+    assert err.startswith("oracle cross-check residual ")
+
+
 def test_simulate_embedding_index_uses_partner_fiducial(capsys):
     rc, out, _ = run(capsys, "simulate", "--catalog", "qubit-sic", "--state", "[1, 0]",
                      "--index", "1", "--check")
@@ -305,6 +330,51 @@ def test_circuit_naimark_from_file(capsys, tmp_path):
     mat, _ = obj_to_matrix(doc["expanded"])
     assert max_abs(mat - expected_qubit_u()) < 1e-12
     assert doc["closed_form_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("target", ["cz", "cx", "fourier", "bell", "naimark"])
+def test_circuit_expand_exits_1_when_the_closed_form_disagrees(
+    capsys, monkeypatch, tmp_path, target
+):
+    import naimark.cli as cli
+
+    argv = ["circuit", target, "--n", "2", "--expand"]
+    if target == "naimark":
+        path = tmp_path / "m.json"
+        path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 4)))
+        argv += ["--m", str(path)]
+        closed_form = build_bell_naimark(catalog_m("ququart")).U
+        monkeypatch.setattr(cli, "build_bell_naimark", lambda m: build_bell_naimark(-m))
+    else:
+        build, dense = cli._CIRCUITS[target]
+        closed_form = dense(4)
+        monkeypatch.setitem(cli._CIRCUITS, target, (build, lambda d: -dense(d)))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["closed_form_residual"] == pytest.approx(2 * max_abs(closed_form), abs=1e-12)
+    assert err.startswith("expansion residual vs closed form: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cz", "--n", "0"], "error: need n >= 1, got 0\n"),
+        (["naimark", "--n", "1"], "error: circuit naimark needs --m FILE\n"),
+    ],
+    ids=["n-0", "naimark-without-m"],
+)
+def test_circuit_input_errors_exit_2(capsys, argv, message):
+    assert run(capsys, "circuit", *argv) == (2, "", message)
+
+
+def test_verify_warns_when_the_file_d_disagrees_with_u(capsys, tmp_path):
+    path = tmp_path / "hesse.json"
+    path.write_text(dumps(matrix_to_obj(expected_hesse_u(), 2)))
+    rc, out, err = run(capsys, "verify", "--u", str(path))
+    assert rc == 0
+    assert json.loads(out)["d"] == 3
+    assert err.startswith("warning: file says d=2 but U is 9x9\n")
 
 
 def test_circuit_naimark_wrong_dimension(capsys, tmp_path):
@@ -457,7 +527,6 @@ def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d):
         monkeypatch.setattr(module, "build_block_naimark", boom)
     for module in (cli, bell):
         monkeypatch.setattr(module, "build_bell_naimark", boom)
-    monkeypatch.setattr(block, "assemble_unitary", boom)
     rng = np.random.default_rng(d)
     ket, state = (rand_ket(d, rng) for _ in range(2))
     rc, out, err = run(capsys, "simulate", "--ket-file", ket_file(tmp_path / "ket.json", ket),

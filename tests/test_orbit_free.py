@@ -16,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naimark import (
+    build_block_naimark,
     complete_unitary,
     direct_probabilities,
     is_informationally_complete,
     measure_probabilities,
     tomography_reconstruct,
 )
-from naimark.block import assemble_unitary
 from naimark.fiducials import characteristic, gram_rank, gram_spectrum
 from naimark.simulate import _frame_sum
 from naimark.wh import max_abs
@@ -84,7 +84,7 @@ def test_gram_spectrum_matches_fft2(ket):
 @given(st.integers(2, 24), seeds)
 def test_layout_matches_block_row_rolls(d, seed):
     m = rand_unitary(d, np.random.default_rng(seed))
-    assert np.array_equal(assemble_unitary(m), roll_layout(loop_blocks(m)))
+    assert np.array_equal(build_block_naimark(m).U, roll_layout(loop_blocks(m)))
 
 
 def two_spike_rank(d, s):

@@ -8,12 +8,11 @@ from naimark import (
     bell_change_of_basis,
     bell_vector,
     clock_op,
-    controlled_clock,
-    controlled_shift,
     displacement,
     fourier,
     shift_op,
 )
+from naimark.bell import controlled_clock, controlled_shift
 from naimark.wh import max_abs
 
 from util import shift_decomposition

@@ -188,6 +188,12 @@ def loop_blocks(m):
     return [np.outer(f_dag[:, k], m[:, k]) for k in range(d)]
 
 
+def first_block_row(u):
+    """[S_0 .. S_{d-1}], the blocks (0, t) of a d^2 x d^2 matrix."""
+    d = int(round(np.sqrt(u.shape[0])))
+    return [u[0:d, t * d : (t + 1) * d] for t in range(d)]
+
+
 def loop_layout(s):
     """Block circulant with block (r, t) = s[(t - r) % d], filled block by block."""
     d, n = len(s), s[0].shape[0]
@@ -229,8 +235,8 @@ def loop_block_constraints(blocks):
 
 def loop_structure_report(u, m=None):
     """Every structure_report field, block by block."""
-    d = int(round(np.sqrt(u.shape[0])))
-    s = [u[0:d, t * d : (t + 1) * d] for t in range(d)]
+    s = first_block_row(u)
+    d = len(s)
     circ = 0.0
     for r in range(d):
         for t in range(d):
