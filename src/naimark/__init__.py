@@ -42,7 +42,6 @@ from .errors import (
     NumericalFailureError,
     ParseError,
     RankDeficientFrameError,
-    UnsupportedDimensionError,
 )
 from .fiducials import (
     Fiducial,
@@ -92,7 +91,6 @@ __all__ = [
     "OutcomeDistribution",
     "ParseError",
     "RankDeficientFrameError",
-    "UnsupportedDimensionError",
     "WHFrame",
     "apply_circuit",
     "bell_change_of_basis",

@@ -260,6 +260,7 @@ def full_naimark_circuit(m: np.ndarray, n: int) -> GateList:
     d = 2**n
     m = np.asarray(m, dtype=complex)
     if m.shape != (d, d):
-        raise InvalidInputError(f"completion matrix must be {d}x{d} for n={n}, got {m.shape}")
+        shape = "x".join(map(str, m.shape))
+        raise InvalidInputError(f"completion matrix is {shape}; qubit synthesis needs d = 2**n = {d}")
     prep = Gate("U", tuple(range(n, 2 * n)), matrix=m.T)
     return GateList(2 * n, (prep,) + bell_rotation_circuit(n).gates)

@@ -25,13 +25,7 @@ from .circuits import (
     full_naimark_circuit,
     qudit_fourier_circuit,
 )
-from .errors import (
-    InvalidInputError,
-    NaimarkError,
-    NumericalFailureError,
-    ParseError,
-    UnsupportedDimensionError,
-)
+from .errors import InvalidInputError, NaimarkError, NumericalFailureError, ParseError
 from .fiducials import (
     CATALOG,
     Fiducial,
@@ -42,7 +36,6 @@ from .fiducials import (
 )
 from .io import (
     NUMBERS,
-    counts_to_obj,
     distribution_to_obj,
     dumps,
     gatelist_to_obj,
@@ -73,8 +66,11 @@ def _emit(obj: dict, out: str | None) -> None:
     except ValueError:
         raise NumericalFailureError("result has non-finite values (NaN or Inf)") from None
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write output file: {exc}") from exc
     else:
         print(text)
 
@@ -161,9 +157,9 @@ def cmd_verify(args) -> int:
     else:
         [(u, d)] = load_matrices(args.u, "U")
         m = load_matrices(args.m, "M")[0][0] if args.m is not None else None
+    if d < 1 or u.shape != (d * d, d * d):
+        raise ParseError(f"file says d={d} but U is {u.shape[0]}x{u.shape[1]}")
     report = structure_report(u, m)
-    if report["d"] != d:
-        print(f"warning: file says d={d} but U is {u.shape[0]}x{u.shape[1]}", file=sys.stderr)
     checks = {k: v for k, v in report.items() if k not in ("d", "recovered_m")}
     ok = all(v <= tol for v in checks.values())
     out = {"d": report["d"], "tol": tol, "checks": checks, "pass": ok}
@@ -187,8 +183,6 @@ def cmd_simulate(args) -> int:
     fid, m, m_source = _resolve_fiducial(args)
     psi = _read_ket(args.state, args.state_file, "state")
     require_normalized(psi, "input state")
-    if psi.shape[0] != fid.dim:
-        raise InvalidInputError(f"state has dim {psi.shape[0]}, fiducial has dim {fid.dim}")
 
     dist = measure_probabilities(m, psi, args.index)
     out = distribution_to_obj(fid.dim, dist.probs)
@@ -204,7 +198,7 @@ def cmd_simulate(args) -> int:
         print(f"oracle cross-check residual {residual:.3e}", file=sys.stderr)
     if args.shots > 0:
         counts = sample(dist, args.shots, args.seed)
-        out.update(counts_to_obj(fid.dim, counts))
+        out["counts"] = [int(c) for c in counts]
         out["shots"] = args.shots
         out["seed"] = args.seed
     _emit(out, args.out)
@@ -245,10 +239,6 @@ def cmd_circuit(args) -> int:
         if args.m is None:
             raise InvalidInputError("circuit naimark needs --m FILE")
         [(m, _)] = load_matrices(args.m, "M")
-        if m.shape != (d, d):
-            raise UnsupportedDimensionError(
-                f"completion matrix is {m.shape[0]}x{m.shape[1]}; qubit synthesis needs d = 2**n = {d}"
-            )
         circ = full_naimark_circuit(require_unitary(m, PHYSICAL_TOL, "completion matrix M"), n)
     else:
         circ = _CIRCUITS[args.target][0](n)

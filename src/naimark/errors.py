@@ -29,9 +29,5 @@ class NumericalFailureError(NaimarkError):
     """A dense linear-algebra step failed (singular system, lost precision)."""
 
 
-class UnsupportedDimensionError(NaimarkError):
-    """Qubit circuit synthesis requested for a dimension that is not 2**n."""
-
-
 class ParseError(NaimarkError):
-    """A JSON document does not match the expected schema."""
+    """A file cannot be read or written, or its JSON does not match the expected schema."""

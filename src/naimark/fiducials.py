@@ -41,20 +41,15 @@ class WHFrame:
 def as_ket(phi: Fiducial | np.ndarray) -> np.ndarray:
     """The ket of a Fiducial, or an array flattened to a complex vector.
 
-    Raises InvalidInputError on NaN or Inf entries.
+    Raises InvalidDimensionError below d = 2 and InvalidInputError on NaN or Inf entries.
     """
     if isinstance(phi, Fiducial):
         return phi.ket
     ket = np.asarray(phi, dtype=complex).reshape(-1)
-    if not np.isfinite(ket).all():
-        raise InvalidInputError("ket has non-finite entries (NaN or Inf)")
-    return ket
-
-
-def _orbit_ket(phi: Fiducial | np.ndarray) -> np.ndarray:
-    ket = as_ket(phi)
     if ket.shape[0] < 2:
         raise InvalidDimensionError(f"WH orbits need d >= 2, got {ket.shape[0]}")
+    if not np.isfinite(ket).all():
+        raise InvalidInputError("ket has non-finite entries (NaN or Inf)")
     return ket
 
 
@@ -141,7 +136,7 @@ def wh_orbit(phi: Fiducial | np.ndarray) -> WHFrame:
 
     Closed form by index arithmetic: (D(j,k) phi)_m = w^{k(m-j)} phi_{m-j}.
     """
-    ket = _orbit_ket(phi)
+    ket = as_ket(phi)
     d = ket.shape[0]
     ell = (np.arange(d) - np.arange(d)[:, None]) % d  # ell[j, m] = m - j
     vecs = _omega_table(d)[:, ell].transpose(1, 0, 2) * ket[ell][:, None, :]
@@ -154,7 +149,7 @@ def characteristic(phi: Fiducial | np.ndarray) -> np.ndarray:
     The frame Gram of the orbit is tr(E_a E_b) = |chi(b - a)|^2 / d^2, a
     convolution over Z_d x Z_d, so chi decides everything the Gram does.
     """
-    ket = _orbit_ket(phi)
+    ket = as_ket(phi)
     return ket.shape[0] * np.fft.ifft(cyclic_shifts(ket).conj() * ket, axis=1)
 
 
@@ -201,11 +196,14 @@ def gram_rank(spectrum: np.ndarray) -> int:
 class ICResult:
     """Outcome of an informational-completeness check.
 
-    The Gram-rank criterion is authoritative.  The witness is the first
-    (j, k) in row-major order whose overlap |<phi| D(j,k) |phi>| lies within
-    DEFAULT_TOL of the minimum overlap, so rounding noise cannot move it
-    between indices whose overlaps are equal in exact arithmetic (a SIC has
-    d^2 - 1 of them, and |chi(a)| = |chi(-a)| always).
+    IC means Gram rank d^2 and a witness overlap above tol.  The witness is the
+    first (j, k) in row-major order whose overlap |<phi| D(j,k) |phi>| lies within
+    DEFAULT_TOL of the minimum, so rounding noise cannot move it between indices
+    whose overlaps are equal in exact arithmetic (a SIC has d^2 - 1 of them, and
+    |chi(a)| = |chi(-a)| always).  Each |chi| <= tau(d) is a zero Gram eigenvalue
+    (`gram_rank`), so at tol >= tau(d) + DEFAULT_TOL, the default included, the
+    witness clause implies full rank; it also rejects full-rank orbits, which
+    `tomography_reconstruct` inverts, whose least overlap is <= tol - DEFAULT_TOL.
 
     `gram_condition` is reported, not gated: a full-rank Gram can still be
     ill-conditioned, and linear-inversion tomography then loses about that

@@ -199,7 +199,3 @@ def gatelist_to_obj(circuit: GateList) -> dict:
 def distribution_to_obj(d: int, probs: np.ndarray) -> dict:
     """Flat probability array indexed by j*d + k."""
     return {"d": int(d), "index": "j*d+k", "probs": [float(p) for p in np.asarray(probs)]}
-
-
-def counts_to_obj(d: int, counts: np.ndarray) -> dict:
-    return {"d": int(d), "index": "j*d+k", "counts": [int(c) for c in np.asarray(counts)]}

@@ -127,8 +127,8 @@ def measure_probabilities(
 
 def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per (j, k); deterministic for a fixed seed."""
-    if n_shots < 1:
-        raise InvalidInputError(f"need at least one shot, got {n_shots}")
+    if not 1 <= n_shots <= 2**63 - 1:  # multinomial counts in int64
+        raise InvalidInputError(f"need 1 <= shots <= 2**63 - 1, got {n_shots}")
     rng = np.random.default_rng(seed)
     p = dist.probs / dist.probs.sum()
     return rng.multinomial(n_shots, p)

@@ -217,22 +217,24 @@ class TestFullNaimarkCircuit:
 
 
 @pytest.mark.parametrize(
-    "build, fragment",
+    "build, error, fragment",
     [
-        (lambda: Gate("H", (0,), k=1), "H takes no k parameter"),
-        (lambda: Gate("U", (0,)), "U gates need an explicit matrix"),
-        (lambda: Gate("H", (0,)).phase, "H gates carry no phase"),
-        (lambda: GateList(0, ()), "need at least one qubit, got 0"),
-        (lambda: qudit_z_circuit(0), "need n >= 1 qubits, got 0"),
-        (lambda: qcz_circuit(2, 0, (1,)), "expected 2 target wires, got [1]"),
-        (lambda: cz_qudit_circuit(0), "need n >= 1 qubits per register, got 0"),
-        (lambda: qudit_fourier_circuit(0), "need n >= 1 qubits, got 0"),
+        (lambda: Gate("H", (0,), k=1), InvalidCircuitError, "H takes no k parameter"),
+        (lambda: Gate("U", (0,)), InvalidCircuitError, "U gates need an explicit matrix"),
+        (lambda: Gate("H", (0,)).phase, InvalidCircuitError, "H gates carry no phase"),
+        (lambda: GateList(0, ()), InvalidCircuitError, "need at least one qubit, got 0"),
+        (lambda: qudit_z_circuit(0), InvalidCircuitError, "need n >= 1 qubits, got 0"),
+        (lambda: qcz_circuit(2, 0, (1,)), InvalidCircuitError, "expected 2 target wires, got [1]"),
+        (lambda: cz_qudit_circuit(0), InvalidCircuitError, "need n >= 1 qubits per register, got 0"),
+        (lambda: qudit_fourier_circuit(0), InvalidCircuitError, "need n >= 1 qubits, got 0"),
+        (lambda: full_naimark_circuit(catalog_m("hesse"), 1), InvalidInputError,
+         "completion matrix is 3x3; qubit synthesis needs d = 2**n = 2"),
     ],
     ids=["k-on-H", "U-without-matrix", "phase-of-H", "no-qubits", "z-n0", "qcz-targets",
-         "cz-n0", "fourier-n0"],
+         "cz-n0", "fourier-n0", "naimark-m-not-2n"],
 )
-def test_circuit_guards(build, fragment):
-    with pytest.raises(InvalidCircuitError) as info:
+def test_circuit_guards(build, error, fragment):
+    with pytest.raises(error) as info:
         build()
     assert fragment in str(info.value)
 

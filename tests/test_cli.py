@@ -368,13 +368,60 @@ def test_circuit_input_errors_exit_2(capsys, argv, message):
     assert run(capsys, "circuit", *argv) == (2, "", message)
 
 
-def test_verify_warns_when_the_file_d_disagrees_with_u(capsys, tmp_path):
-    path = tmp_path / "hesse.json"
-    path.write_text(dumps(matrix_to_obj(expected_hesse_u(), 2)))
+@pytest.mark.parametrize(
+    "u, d, shape",
+    [(expected_hesse_u(), 2, "9x9"), (expected_hesse_u(), -3, "9x9"), (np.eye(8), 2, "8x8")],
+    ids=["hesse-says-d2", "hesse-says-d-3", "8x8"],
+)
+def test_verify_exits_3_when_the_file_d_contradicts_u(capsys, monkeypatch, tmp_path, u, d, shape):
+    import naimark.cli as cli
+
+    def boom(*_):
+        raise AssertionError("checked the structure of a U whose d is wrong")
+
+    monkeypatch.setattr(cli, "structure_report", boom)
+    path = tmp_path / "u.json"
+    path.write_text(dumps(matrix_to_obj(u, d)))
     rc, out, err = run(capsys, "verify", "--u", str(path))
-    assert rc == 0
-    assert json.loads(out)["d"] == 3
-    assert err.startswith("warning: file says d=2 but U is 9x9\n")
+    assert (rc, out, err) == (3, "", f"error: file says d={d} but U is {shape}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--ket", "[1]"], ["simulate", "--ket", "[1]", "--state", "[1]", "--check"]],
+    ids=["build", "simulate"],
+)
+def test_a_length_one_ket_exits_2_before_any_work(capsys, monkeypatch, argv):
+    import naimark.cli as cli
+
+    def boom(*_):
+        raise AssertionError("completed a length-1 fiducial")
+
+    monkeypatch.setattr(cli, "complete_unitary", boom)
+    assert run(capsys, *argv) == (2, "", "error: WH orbits need d >= 2, got 1\n")
+
+
+def test_simulate_state_of_another_dimension_exits_2(capsys):
+    rc, out, err = run(capsys, "simulate", "--catalog", "hesse", "--state", "[1, 0]")
+    assert (rc, out, err) == (2, "", "error: state has dim 2, extension has d=3\n")
+
+
+def test_simulate_shots_beyond_int64_exit_2_without_traceback():
+    proc = run_cli("simulate", "--catalog", "qubit-sic", "--state", "[1, 0]",
+                   "--shots", str(2**63))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: need 1 <= shots <= 2**63 - 1, got {2**63}\n"
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [["build", "--catalog", "hesse"], ["catalog"]],
+                         ids=["build", "catalog"])
+def test_an_unwritable_out_exits_3(capsys, tmp_path, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    rc, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (rc, stdout) == (3, "")
+    assert err.startswith("error: cannot write output file: ")
+    assert err.count("\n") == 1
 
 
 def test_circuit_naimark_wrong_dimension(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Fiducial catalog, orbits, and the SIC / informational-completeness checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from naimark import (
     InvalidInputError,
     builtin_fiducial,
     catalog_m,
+    complete_unitary,
     compound_sic_report,
     is_informationally_complete,
     sic_report,
@@ -221,7 +223,11 @@ def test_compound_sic_honours_a_tighter_tolerance():
         compound_sic_report(m, tol=1e-13)
 
 
-@pytest.mark.parametrize("orbit_function", [characteristic, wh_orbit])
+@pytest.mark.parametrize(
+    "orbit_function",
+    [characteristic, wh_orbit, as_ket, complete_unitary, functools.partial(Fiducial, 1)],
+    ids=["characteristic", "wh_orbit", "as_ket", "complete_unitary", "Fiducial"],
+)
 def test_orbit_guards_reject_a_length_one_ket(orbit_function):
     with pytest.raises(InvalidDimensionError, match="WH orbits need d >= 2, got 1"):
         orbit_function(np.array([1.0]))

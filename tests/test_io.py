@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from naimark import Gate, GateList, ParseError, expand
 from naimark.io import (
-    counts_to_obj,
     distribution_to_obj,
     dumps,
     gatelist_to_obj,
@@ -109,8 +108,6 @@ def test_distribution_objects():
     obj = distribution_to_obj(2, probs)
     assert obj["index"] == "j*d+k"
     assert obj["probs"] == [0.5, 0.25, 0.25, 0.0]
-    cobj = counts_to_obj(2, np.array([5, 3, 2, 0]))
-    assert cobj["counts"] == [5, 3, 2, 0]
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)

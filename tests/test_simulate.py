@@ -203,6 +203,9 @@ class TestSampling:
         dist = OutcomeDistribution(2, np.full(4, 0.25))
         with pytest.raises(InvalidInputError):
             sample(dist, 0, seed=1)
+        with pytest.raises(InvalidInputError, match=r"shots <= 2\*\*63 - 1, got 9223372036854775808"):
+            sample(dist, 2**63, seed=1)
+        assert sample(dist, 2**63 - 1, seed=1).sum() == 2**63 - 1
 
 
 class TestTomography:
