@@ -11,8 +11,10 @@ factor) and the control qudit on wires n..2n-1, matching the closed forms
 sum_m Z^m x |m><m| and sum_m X^m x |m><m|.
 
 Gate lists are simulated on a state tensor of shape (2,)*n + (k,), one axis
-per wire plus a batch of k columns, in O(gates * 2**n * k) with no 2**n x 2**n
-gate matrix (`apply_circuit`); `expand` applies the gates to the identity's
+per wire plus a batch of k columns, with no 2**n x 2**n gate matrix: a run of
+R/CR gates as one phase table, H as an in-place butterfly with one deferred
+scale, U gates by matmul, so O(2**n * k) per H, U or run and O(2**n) per R or
+CR gate (`apply_circuit`).  `expand` applies the gates to the identity's
 columns.  On |psi> embedded at ancilla index i, the full measurement circuit
 gives the outcome amplitudes directly.
 """
@@ -28,6 +30,7 @@ from .errors import InvalidCircuitError, InvalidInputError
 
 _WIRES = {"H": 1, "R": 1, "CR": 2, "SWAP": 2}
 
+# apply_circuit runs H as the butterfly _H / _H[0, 0] and folds the _H[0, 0]s in at the end.
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -121,10 +124,13 @@ def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
     """The gate list applied, in list order, to one 2**n state vector or to each
     column of a (2**n, k) batch; returns a new array of the same shape.
 
-    The states are held as a tensor of shape (2,)*n + (k,).  R and CR scale one
-    slice by their phase, SWAP relabels two axes, one-wire H and U gates mix
-    the wire's two slices, and U gates on more wires are contracted with their
-    wires' axes, so no 2**n x 2**n gate matrix is formed.
+    The states are one C-contiguous tensor of shape (2,)*n + (k,) with a map from
+    wire to axis, which SWAP updates.  A run of R/CR gates, SWAPs included, is
+    gathered in one phase table and applied in place before the next H or U gate;
+    H is the in-place butterfly (t0 + t1, t0 - t1), its 2**-0.5 applied in the
+    final copy (and as 2**-32 per 64 H); a U gate is one matmul, after a transpose
+    unless its axes are consecutive and in order.  Cost: O(2**n * k) per H or U
+    gate and per run, and O(2**n) per R or CR gate.
     """
     n = circuit.n_qubits
     shape = np.shape(states)
@@ -132,38 +138,48 @@ def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"states for {n} qubits must have shape ({2**n},) or ({2**n}, k), got {shape}"
         )
-    t = np.array(states, dtype=complex).reshape((2,) * n + (1 if len(shape) == 1 else shape[1],))
+    dims = (2,) * n + (shape[1:] or (1,))
+    t = np.array(states, dtype=complex, order="C").reshape(dims)
     axis = list(range(n))  # axis[w] is the tensor axis that holds wire w
+    table = np.ones((2,) * n + (1,), dtype=complex)  # the R/CR run not yet applied to t
+    pending, h = False, 0  # h counts the H gates whose 2**-0.5 is not yet applied
 
-    def part(wires, bit):
-        """The slice of t where each of the wires holds the bit."""
+    def part(a, wires, bit):
+        """The slice of a where each of the wires holds the bit."""
         index = [slice(None)] * (n + 1)
         for w in wires:
             index[axis[w]] = bit
-        return t[tuple(index)]
+        return a[tuple(index)]
 
     for g in circuit.gates:
         if g.kind == "SWAP":
             a, b = g.wires
             axis[a], axis[b] = axis[b], axis[a]
         elif g.kind in ("R", "CR"):
-            part(g.wires, 1)[...] *= g.phase
-        else:
-            # Read only: _H and the gate's matrix are shared with later gates.
-            mat = _H if g.kind == "H" else g.matrix.conj().T if g.dagger else g.matrix
-            if len(g.wires) == 1:
-                (u00, u01), (u10, u11) = mat
-                t0, t1 = part(g.wires, 0), part(g.wires, 1)
-                new0 = u00 * t0 + u01 * t1
-                t1 *= u11
-                t1 += u10 * t0
-                t0[...] = new0
-            else:
-                m = len(g.wires)
-                targets = [axis[w] for w in g.wires]
-                t = np.tensordot(mat.reshape((2,) * (2 * m)), t, axes=(range(m, 2 * m), targets))
-                t = np.moveaxis(t, range(m), targets)  # tensordot put the gate's axes first
-    return np.transpose(t, axis + [n]).reshape(shape)
+            part(table, g.wires, 1)[...] *= g.phase
+            pending = True
+        elif pending:
+            t *= table
+            table[...], pending = 1, False
+        if g.kind == "H":
+            t0, t1 = part(t, g.wires, 0), part(t, g.wires, 1)
+            t0 += t1
+            t1 *= -2
+            t1 += t0
+            h += 1
+            if h == 64:  # fold 2**-32 in, exactly, long before t could overflow
+                t *= 2.0**-32
+                h = 0
+        elif g.kind == "U":
+            mat = g.matrix.conj().T if g.dagger else g.matrix
+            m, targets = len(g.wires), [axis[w] for w in g.wires]
+            first = targets[0]
+            if targets != list(range(first, first + m)):
+                order = targets + [a for a in range(n + 1) if a not in targets]
+                t, axis, first = t.transpose(order), [order.index(a) for a in axis], 0
+            t = np.matmul(mat, t.reshape(2**first, 2**m, t.size >> (first + m))).reshape(dims)
+    scale = _H[0, 0].real ** (h % 2) * 2.0 ** -(h // 2)
+    return np.transpose(t * (table * scale), axis + [n]).reshape(shape)
 
 
 def expand(circuit: GateList) -> np.ndarray:

@@ -166,8 +166,8 @@ def obj_to_matrix(obj: dict) -> tuple[np.ndarray, int]:
 
 
 def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
-    """Read a matrix file once and take one matrix per key: from a bundle (such as
-    build output) its `key` entry, from a plain matrix file the matrix itself."""
+    """Read a matrix file once and take one matrix per key: a bundle's `key` entry
+    (as in build output) or a plain file's matrix; an "M" must be d x d for its d."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -177,7 +177,11 @@ def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     missing = [key for key in keys if bundle and key not in obj]
     if missing:
         raise ParseError(f"matrix file {path} has no {missing[0]!r} entry")
-    return [obj_to_matrix(obj[key] if bundle else obj) for key in keys]
+    out = [obj_to_matrix(obj[key] if bundle else obj) for key in keys]
+    for key, (a, d) in zip(keys, out):
+        if key == "M" and a.shape != (d, d):
+            raise ParseError(f"file says d={d} but M is {a.shape[0]}x{a.shape[1]}")
+    return out
 
 
 def gate_to_obj(g: Gate) -> dict:

@@ -2,6 +2,8 @@
 loop oracle, and the circuit route to outcome probabilities against the
 Born-rule oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,3 +122,164 @@ def test_phase_is_the_last_entry_of_the_local_matrix(kind, wires, k, dagger):
     want = np.exp((-1 if dagger else 1) * 2j * np.pi / 2**k)
     assert gate.phase == want
     assert gate_matrix(gate)[-1, -1] == gate.phase
+
+
+# The kernel gathers each run of R/CR gates in one phase table and applies it
+# before the next H or U gate, runs H as an unscaled butterfly with one scale
+# at the end, and applies U gates by matmul after bringing their axes together.
+
+
+@st.composite
+def diagonal_run_lists(draw):
+    """Runs of 8-40 R/CR gates, with SWAPs inside them, each closed by an H or a
+    1-3-wire U gate, on 2..5 wires."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(8, 40))):
+            kind = draw(st.sampled_from(["R", "CR", "CR", "SWAP"]))
+            wires = tuple(draw(st.permutations(range(n)))[: 1 if kind == "R" else 2])
+            if kind == "SWAP":
+                gates.append(Gate(kind, wires))
+            else:
+                k, dagger = draw(st.integers(1, 6)), draw(st.booleans())
+                gates.append(Gate(kind, wires, k=k, dagger=dagger))
+        arity = draw(st.integers(1, min(3, n)))
+        wires = tuple(draw(st.permutations(range(n)))[:arity])
+        if draw(st.booleans()):
+            gates.append(Gate("H", wires[:1]))
+        else:
+            gates.append(Gate("U", wires, matrix=rand_unitary(2**arity, rng)))
+    return GateList(n, gates)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagonal_run_lists())
+def test_diagonal_runs_equal_loop_oracle(circ):
+    assert max_abs(expand(circ) - loop_expand(circ)) < 1e-13
+
+
+def test_a_swap_inside_an_r_cr_run_moves_the_later_phases():
+    gates = [Gate("H", (w,)) for w in range(3)]
+    gates += [
+        Gate("CR", (0, 1), k=2),
+        Gate("R", (2,), k=3),
+        Gate("SWAP", (0, 2)),
+        Gate("CR", (0, 1), k=1),
+        Gate("R", (0,), k=2, dagger=True),
+        Gate("SWAP", (1, 2)),
+        Gate("CR", (2, 0), k=3),
+        Gate("H", (0,)),
+        Gate("R", (1,), k=1),
+    ]
+    circ = GateList(3, gates)
+    assert max_abs(expand(circ) - loop_expand(circ)) < 1e-14
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+def test_odd_and_even_h_counts_equal_loop_oracle(h):
+    gates = []
+    for i in range(h):
+        gates += [Gate("H", (i % 3,)), Gate("CR", ((i + 1) % 3, i % 3), k=i + 1)]
+    circ = GateList(3, gates)
+    u = expand(circ)
+    assert max_abs(u - loop_expand(circ)) < 1e-14
+    assert max_abs(u.conj().T @ u - np.eye(8)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "wires",
+    [(0, 2), (2, 0), (1, 3), (3, 1), (0, 1), (1, 0), (3, 0, 2), (0, 2, 3), (1, 2, 3), (3, 2, 1)],
+)
+def test_wide_u_after_a_swap_equals_loop_oracle(wires):
+    """After SWAP(1, 3) wire 1 sits on axis 3 and wire 3 on axis 1, so each wire
+    tuple here is consecutive, gapped or reversed on the tensor's axes."""
+    rng = np.random.default_rng(sum(w * 4**i for i, w in enumerate(wires)))
+    u = rand_unitary(2 ** len(wires), rng)
+    gates = (
+        Gate("H", (1,)),
+        Gate("CR", (1, 2), k=2),
+        Gate("SWAP", (1, 3)),
+        Gate("U", wires, matrix=u),
+        Gate("H", (3,)),
+        Gate("R", (1,), k=3),
+        Gate("U", wires[::-1], matrix=u, dagger=True),
+        Gate("H", (0,)),
+        Gate("CR", (2, 3), k=1),
+    )
+    circ = GateList(4, gates)
+    assert max_abs(expand(circ) - loop_expand(circ)) < 1e-13
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(diagonal_run_lists(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_batch_columns_equal_single_vector_calls(circ, k, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**circ.n_qubits
+    states = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    got = apply_circuit(circ, states)
+    for j in range(k):
+        assert max_abs(got[:, j] - apply_circuit(circ, states[:, j])) < 1e-14
+
+
+@pytest.mark.parametrize("layout", ["vector", "C", "F", "strided"])
+def test_the_input_is_never_written(layout):
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
+    states = {
+        "vector": base[:, 0].copy(),
+        "C": base.copy(),
+        "F": np.asfortranarray(base),
+        "strided": base[:, ::2],
+    }[layout]
+    kept = states.copy()
+    circ = GateList(
+        4,
+        (
+            Gate("H", (3,)),
+            Gate("CR", (3, 0), k=2),
+            Gate("U", (2, 0), matrix=rand_unitary(4, rng)),
+            Gate("R", (1,), k=1),
+            Gate("U", (0, 1, 2, 3), matrix=rand_unitary(16, rng)),
+            Gate("H", (0,)),
+        ),
+    )
+    got = apply_circuit(circ, states)
+    assert np.array_equal(states, kept)
+    assert not np.shares_memory(got, states)
+    assert max_abs(got - loop_expand(circ) @ kept) < 1e-13
+
+
+def test_h_and_r_cr_gates_allocate_no_state_sized_temporaries():
+    """Peak traced memory with 60 H, R, CR and SWAP gates stays within half a state
+    of the same circuit's final SWAP alone; one state-sized temporary per gate, or
+    a half-state one per H, would exceed it."""
+    n, k = 6, 1024
+    rng = np.random.default_rng(3)
+    gates = []
+    for i in range(60):
+        kind = ("H", "R", "CR", "SWAP")[i % 4]
+        wires = tuple(int(w) for w in rng.permutation(n)[: 1 if kind in ("H", "R") else 2])
+        gates.append(Gate(kind, wires, k=int(rng.integers(1, 5)) if kind in ("R", "CR") else None))
+    states = np.ones((2**n, k), dtype=complex)
+
+    def peak(circ):
+        tracemalloc.start()
+        try:
+            apply_circuit(circ, states)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bare = peak(GateList(n, (gates[-1],)))
+    assert peak(GateList(n, gates)) - bare < states.nbytes // 2
+
+
+@pytest.mark.parametrize("h", [2048, 2049, 3000])
+def test_thousands_of_h_gates_stay_finite(h):
+    """The butterfly doubles the norm squared per H; the deferred scale must not let
+    t overflow, which it would past about 2046 H gates without a fold."""
+    step = GateList(2, (Gate("H", (0,)), Gate("CR", (0, 1), k=3)))
+    circ = GateList(2, step.gates * h)
+    assert max_abs(expand(circ) - np.linalg.matrix_power(loop_expand(step), h)) < 1e-11

@@ -386,6 +386,30 @@ def test_verify_exits_3_when_the_file_d_contradicts_u(capsys, monkeypatch, tmp_p
     assert (rc, out, err) == (3, "", f"error: file says d={d} but U is {shape}\n")
 
 
+def test_circuit_naimark_exits_3_when_the_file_d_contradicts_m(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 7)))
+    rc, out, err = run(capsys, "circuit", "naimark", "--n", "2", "--m", str(path))
+    assert (rc, out, err) == (3, "", "error: file says d=7 but M is 4x4\n")
+
+
+@pytest.mark.parametrize("same_file", [True, False], ids=["one-bundle", "two-files"])
+def test_verify_exits_3_when_the_bundle_d_contradicts_m(capsys, monkeypatch, tmp_path, same_file):
+    import naimark.cli as cli
+
+    def boom(*_):
+        raise AssertionError("checked the structure against an M whose d is wrong")
+
+    good, bad = tmp_path / "hesse.json", tmp_path / "bad.json"
+    assert run(capsys, "build", "--catalog", "hesse", "--out", str(good))[0] == 0
+    doc = json.loads(good.read_text())
+    doc["M"]["d"] = 5
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "structure_report", boom)
+    rc, out, err = run(capsys, "verify", "--u", str(bad if same_file else good), "--m", str(bad))
+    assert (rc, out, err) == (3, "", "error: file says d=5 but M is 3x3\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["build", "--ket", "[1]"], ["simulate", "--ket", "[1]", "--state", "[1]", "--check"]],

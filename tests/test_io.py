@@ -159,6 +159,19 @@ def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
     assert all(np.array_equal(a, c) for c, _ in load_matrices(str(path), key, "U"))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (9, 9), (1, 1)])
+@pytest.mark.parametrize("bundle", [True, False], ids=["bundle", "plain"])
+def test_an_m_must_be_d_by_d_for_its_file_d(tmp_path, shape, bundle):
+    obj = matrix_to_obj(np.ones(shape), 2)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"M": obj, "U": matrix_to_obj(np.eye(4), 2)} if bundle else obj))
+    want = f"file says d=2 but M is {shape[0]}x{shape[1]}"
+    with pytest.raises(ParseError, match=want):
+        load_matrices(str(path), "M")
+    with pytest.raises(ParseError, match=want):
+        load_matrices(str(path), "U", "M")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("part", ["re", "im"])
 def test_non_finite_matrix_entries_rejected(tmp_path, bad, part):
