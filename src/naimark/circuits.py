@@ -21,7 +21,9 @@ gives the outcome amplitudes directly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +53,15 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        wires = tuple(int(w) for w in self.wires)
+        try:  # operator.index, unlike int(), refuses floats and strings rather than truncating
+            wires = tuple(map(operator.index, self.wires))
+            k = None if self.k is None else operator.index(self.k)
+        except TypeError as exc:
+            raise InvalidCircuitError(
+                f"wires and k must be integers, got wires={self.wires!r}, k={self.k!r}"
+            ) from exc
         object.__setattr__(self, "wires", wires)
+        object.__setattr__(self, "k", k)
         if len(set(wires)) != len(wires) or any(w < 0 for w in wires):
             raise InvalidCircuitError(f"wires must be distinct and non-negative, got {wires}")
         if self.kind in _WIRES:
@@ -60,9 +69,9 @@ class Gate:
             if len(wires) != want:
                 raise InvalidCircuitError(f"{self.kind} acts on {want} wire(s), got {wires}")
             if self.kind in ("R", "CR"):
-                if self.k is None or self.k < 1:
-                    raise InvalidCircuitError(f"{self.kind} needs an integer k >= 1, got {self.k}")
-            elif self.k is not None:
+                if k is None or k < 1:
+                    raise InvalidCircuitError(f"{self.kind} needs an integer k >= 1, got {k}")
+            elif k is not None:
                 raise InvalidCircuitError(f"{self.kind} takes no k parameter")
         elif self.kind == "U":
             if self.matrix is None:
@@ -202,7 +211,7 @@ def qudit_z_circuit(n: int) -> GateList:
 
 def qcz_circuit(n: int, control_wire: int, target_wires: tuple[int, ...] | list[int]) -> GateList:
     """Qubit-controlled qudit clock: Z on the n target wires iff control is |1>."""
-    targets = [int(w) for w in target_wires]
+    targets = list(target_wires)
     if len(targets) != n:
         raise InvalidCircuitError(f"expected {n} target wires, got {targets}")
     wires = [control_wire, *targets]
@@ -257,10 +266,13 @@ def cx_qudit_circuit(n: int) -> GateList:
     return GateList(2 * n, fw.gates + cz.gates + fw.inverse().gates)
 
 
+@lru_cache(maxsize=1)
 def bell_rotation_circuit(n: int) -> GateList:
     """Bell change of basis (I x F^dag)(sum_j X^{-j} x |j><j|) on 2n wires.
 
     The inverse controlled shift is the reversed, phase-conjugated qudit CX.
+    It depends on n alone, so the list for the last n is kept and shared: its
+    gates are frozen and none is a U gate, so none holds an array.
     """
     shift_inv = cx_qudit_circuit(n).inverse()
     f_dag = qudit_fourier_circuit(n, wire_offset=n, n_qubits=2 * n).inverse()
@@ -271,7 +283,8 @@ def full_naimark_circuit(m: np.ndarray, n: int) -> GateList:
     """Complete measurement circuit (I x F^dag)(sum_j X^{-j} x |j><j|)(I x M^T).
 
     System qudit on wires 0..n-1, ancilla on wires n..2n-1.  M^T enters as one
-    opaque gate on the ancilla, followed by bell_rotation_circuit.
+    opaque gate on the ancilla, followed by the gates of bell_rotation_circuit(n),
+    which are shared by every circuit of that n.
     """
     d = 2**n
     m = np.asarray(m, dtype=complex)

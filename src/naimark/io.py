@@ -167,7 +167,8 @@ def obj_to_matrix(obj: dict) -> tuple[np.ndarray, int]:
 
 def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     """Read a matrix file once and take one matrix per key: a bundle's `key` entry
-    (as in build output) or a plain file's matrix; an "M" must be d x d for its d."""
+    (as in build output) or a plain file's matrix.  For its file's d >= 1, an "M"
+    must be d x d and a "U" d**2 x d**2; M is checked first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -178,16 +179,19 @@ def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     if missing:
         raise ParseError(f"matrix file {path} has no {missing[0]!r} entry")
     out = [obj_to_matrix(obj[key] if bundle else obj) for key in keys]
-    for key, (a, d) in zip(keys, out):
-        if key == "M" and a.shape != (d, d):
-            raise ParseError(f"file says d={d} but M is {a.shape[0]}x{a.shape[1]}")
+    loaded = dict(zip(keys, out))
+    for key, power in (("M", 1), ("U", 2)):  # M is d x d, U is d**2 x d**2
+        if key in loaded:
+            a, d = loaded[key]
+            if d < 1 or a.shape != (d**power, d**power):
+                raise ParseError(f"file says d={d} but {key} is {a.shape[0]}x{a.shape[1]}")
     return out
 
 
 def gate_to_obj(g: Gate) -> dict:
     out: dict = {"kind": g.kind, "wires": list(g.wires)}
     if g.k is not None:
-        out["k"] = int(g.k)
+        out["k"] = g.k
     if g.dagger:
         out["dagger"] = True
     if g.kind == "U":

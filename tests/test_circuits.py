@@ -79,6 +79,15 @@ class TestExpand:
         with pytest.raises(InvalidCircuitError):
             Gate("U", (0, 1), matrix=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "kind, wires, k",
+        [("R", (0,), 1.5), ("CR", (1, 0), 2.0), ("R", (0,), "2"), ("H", (0.5,), None),
+         ("SWAP", (0, 1.0), None), ("R", ("0",), 1), ("H", 0, None)],
+    )
+    def test_non_integer_k_or_wires_rejected(self, kind, wires, k):
+        with pytest.raises(InvalidCircuitError, match="wires and k must be integers"):
+            Gate(kind, wires, k=k)
+
     @pytest.mark.parametrize("matrix", [np.ones((2, 2)), 1.01 * np.eye(2), np.diag([1, np.nan])])
     def test_non_unitary_u_gate_rejected(self, matrix):
         with pytest.raises(InvalidInputError, match="U-gate matrix is not unitary"):
@@ -274,3 +283,34 @@ def gate_lists(draw):
 def test_inverse_composes_to_identity(circ):
     prod = expand(circ.inverse()) @ expand(circ)
     assert max_abs(prod - np.eye(2**circ.n_qubits)) < 1e-12
+
+
+def test_the_bell_rotation_is_kept_for_the_last_n_only():
+    assert bell_rotation_circuit(3) is bell_rotation_circuit(3)
+    kept = [bell_rotation_circuit(n) for n in (4, 2, 4)]
+    assert kept[2] is not kept[0]  # n = 2 displaced the n = 4 list
+    for n, circ in zip((4, 2, 4), kept):
+        assert circ.n_qubits == 2 * n
+        assert max_abs(expand(circ) - bell_change_of_basis(2**n)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_kept_bell_rotation_equals_a_fresh_synthesis(n):
+    kept, fresh = bell_rotation_circuit(n), bell_rotation_circuit.__wrapped__(n)
+    assert kept is not fresh and len(kept) == len(fresh)
+    assert [(g.kind, g.wires, g.k, g.dagger) for g in kept] == [
+        (g.kind, g.wires, g.k, g.dagger) for g in fresh
+    ]
+    assert all(g.kind != "U" and g.matrix is None for g in kept)  # no shared array
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_circuits_for_two_ms_share_the_rotation_gates(n, seed):
+    rng = np.random.default_rng(seed)
+    ms = [rand_unitary(2**n, rng) for _ in range(2)]
+    circs = [full_naimark_circuit(m, n) for m in ms]
+    assert all(a is b for a, b in zip(circs[0].gates[1:], circs[1].gates[1:]))
+    assert circs[0].gates[0] is not circs[1].gates[0]
+    for m, circ in zip(ms, circs):
+        assert max_abs(expand(circ) - build_bell_naimark(m).U) < 1e-12

@@ -26,7 +26,7 @@ def test_matrix_round_trip_bit_identical(tmp_path):
     a = rand_unitary(3, rng) / 3 + (1 / 3 + 1e-17j)  # awkward fractions on purpose
     path = tmp_path / "m.json"
     path.write_text(dumps(matrix_to_obj(a, 3)))
-    [(b, d)] = load_matrices(str(path), "U")
+    [(b, d)] = load_matrices(str(path), "A")
     assert d == 3
     assert np.array_equal(a, b)  # exact, not approximate
 
@@ -69,8 +69,8 @@ def test_malformed_matrix_objects_rejected():
 def test_load_matrix_unwraps_build_bundles(tmp_path):
     inner = matrix_to_obj(np.eye(2), 2)
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps({"U": inner, "other": 1}))
-    [(a, d)] = load_matrices(str(path), "U")
+    path.write_text(json.dumps({"A": inner, "other": 1}))
+    [(a, d)] = load_matrices(str(path), "A")
     assert np.array_equal(a, np.eye(2))
 
 
@@ -103,6 +103,13 @@ def test_gatelist_round_trip():
     assert max_abs(expand(back) - expand(circ)) < 1e-12
 
 
+def test_a_numpy_integer_k_is_written_as_a_json_int():
+    g = Gate("CR", (np.int64(1), 0), k=np.int64(3))
+    obj = json.loads(json.dumps(gatelist_to_obj(GateList(2, (g,)))))
+    assert obj["gates"] == [{"kind": "CR", "wires": [1, 0], "k": 3}]
+    assert type(g.k) is int and all(type(w) is int for w in g.wires)
+
+
 def test_distribution_objects():
     probs = np.array([0.5, 0.25, 0.25, 0.0])
     obj = distribution_to_obj(2, probs)
@@ -132,7 +139,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path_factory, data, rows, cols, d
     a.real, a.imag = np.reshape(re, shape), np.reshape(im, shape)  # keeps -0.0 real parts
     path = tmp_path_factory.mktemp("rt") / "m.json"
     path.write_text(dumps(matrix_to_obj(a, d)))
-    [(b, d_back)] = load_matrices(str(path), "U")
+    [(b, d_back)] = load_matrices(str(path), "A")
     assert d_back == d
     assert np.array_equal(a.view(float), b.view(float))  # same bits, signed zeros included
     assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
@@ -148,7 +155,7 @@ def test_load_matrix_key_selects_bundle_entry(tmp_path):
     assert np.array_equal(u2, u) and np.array_equal(m2, m) and d_u == d_m == 2
 
 
-@pytest.mark.parametrize("key", ["U", "M", "anything"])
+@pytest.mark.parametrize("key", ["A", "M", "anything"])
 def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
     a = np.array([[1, 2j], [3, 4]])
     path = tmp_path / "plain.json"
@@ -156,7 +163,7 @@ def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
     [(b, d)] = load_matrices(str(path), key)
     assert d == 2
     assert np.array_equal(a, b)
-    assert all(np.array_equal(a, c) for c, _ in load_matrices(str(path), key, "U"))
+    assert all(np.array_equal(a, c) for c, _ in load_matrices(str(path), key, "A"))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (9, 9), (1, 1)])
@@ -170,6 +177,21 @@ def test_an_m_must_be_d_by_d_for_its_file_d(tmp_path, shape, bundle):
         load_matrices(str(path), "M")
     with pytest.raises(ParseError, match=want):
         load_matrices(str(path), "U", "M")
+
+
+@pytest.mark.parametrize(
+    "shape, d", [((3, 3), 3), ((2, 2), 2), ((4, 4), 4), ((1, 1), -1), ((1, 1), 0)]
+)
+@pytest.mark.parametrize("bundle", [True, False], ids=["bundle", "plain"])
+def test_a_u_must_be_d_squared_for_its_file_d(tmp_path, shape, d, bundle):
+    obj = matrix_to_obj(np.ones(shape), d)
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"U": obj, "M": matrix_to_obj(np.eye(2), 2)} if bundle else obj))
+    with pytest.raises(ParseError, match=f"file says d={d} but U is {shape[0]}x{shape[1]}"):
+        load_matrices(str(path), "U")
+    if bundle:  # with a good M beside it
+        with pytest.raises(ParseError, match=f"file says d={d} but U is"):
+            load_matrices(str(path), "M", "U")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
