@@ -10,13 +10,11 @@ Two-register circuits put the target qudit on wires 0..n-1 (first tensor
 factor) and the control qudit on wires n..2n-1, matching the closed forms
 sum_m Z^m x |m><m| and sum_m X^m x |m><m|.
 
-Gate lists are simulated on a state tensor of shape (2,)*n + (k,), one axis
-per wire plus a batch of k columns, with no 2**n x 2**n gate matrix: a run of
-R/CR gates as one phase table, H as an in-place butterfly with one deferred
-scale, U gates by matmul, so O(2**n * k) per H, U or run and O(2**n) per R or
-CR gate (`apply_circuit`).  `expand` applies the gates to the identity's
-columns.  On |psi> embedded at ancilla index i, the full measurement circuit
-gives the outcome amplitudes directly.
+`apply_circuit` runs a gate list on a state tensor with one axis per wire and a
+batch axis: each run of gates within _BLOCK wires becomes one small matrix applied
+by one matmul, and the R/CR gates between blocks are summed per wire set into one
+phase table.  `expand` applies the gates to the identity's columns.  On |psi>
+embedded at ancilla index i, the full circuit gives the outcome amplitudes.
 """
 
 from __future__ import annotations
@@ -32,8 +30,12 @@ from .errors import InvalidCircuitError, InvalidInputError
 
 _WIRES = {"H": 1, "R": 1, "CR": 2, "SWAP": 2}
 
-# apply_circuit runs H as the butterfly _H / _H[0, 0] and folds the _H[0, 0]s in at the end.
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+# The most tensor axes one fused block of apply_circuit spans.  A sweep of 2..6
+# (`expand` at n = 3, 4, 5; one vector at n = 6, 8, 10; CHANGES.md) found 4 the only
+# width faster than one pass per gate at every n >= 4; 5 is faster at n = 5 and 10.
+_BLOCK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +90,16 @@ class Gate:
             raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")
 
     @property
-    def phase(self) -> complex:
-        """The phase R(k) puts on |1> and CR(k) on |11>: exp(+-2*pi*i / 2**k)."""
+    def turns(self) -> float:
+        """The phase of R(k) on |1> and CR(k) on |11> in turns, +-2.0**-k (0.0 past k = 1074)."""
         if self.kind not in ("R", "CR"):
             raise InvalidCircuitError(f"{self.kind} gates carry no phase")
-        sign = -1.0 if self.dagger else 1.0
-        return np.exp(sign * 2j * np.pi / 2**self.k)
+        return -(2.0**-self.k) if self.dagger else 2.0**-self.k
+
+    @property
+    def phase(self) -> complex:
+        """The phase R(k) puts on |1> and CR(k) on |11>: exp(2*pi*i * turns)."""
+        return np.exp(2j * np.pi * self.turns)
 
     def inverse(self) -> "Gate":
         if self.kind in ("H", "SWAP"):
@@ -109,6 +115,10 @@ class GateList:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+        except TypeError as exc:
+            raise InvalidCircuitError(f"n_qubits must be an integer, got {self.n_qubits!r}") from exc
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_qubits < 1:
             raise InvalidCircuitError(f"need at least one qubit, got {self.n_qubits}")
@@ -129,17 +139,50 @@ class GateList:
         return GateList(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 
 
+def _ones(a: np.ndarray, axes) -> np.ndarray:
+    """The view of a where each of the axes holds bit 1."""
+    return a[tuple(1 if x in axes else slice(None) for x in range(a.ndim))]
+
+
+def _matmul(t: np.ndarray, axes: list[int], mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """mat on the axes of t (first listed = MSB), moved to the front unless they are
+    consecutive and in order; returns the result and the new place of each axis."""
+    m, first, dims = len(axes), axes[0], t.shape
+    where = list(range(t.ndim))
+    if axes != where[first : first + m]:
+        order = axes + [x for x in where if x not in axes]
+        t, first, where = t.transpose(order), 0, [order.index(x) for x in where]
+    rest = t.size >> (first + m)  # rest == 1: one GEMM, not 2**first matrix-vector products
+    t = t.reshape(-1, 2**m) @ mat.T if rest == 1 else np.matmul(mat, t.reshape(2**first, 2**m, rest))
+    return t.reshape(dims), where
+
+
+def _block_matrix(block: list[tuple], wide: list[int]) -> np.ndarray:
+    """The (phase or matrix, tensor axes) steps applied to the identity on the sorted axes `wide`."""
+    m = len(wide)
+    b = np.eye(2**m, dtype=complex).reshape((2,) * m + (2**m,))
+    loc = list(range(m))  # loc[i] is the axis of b that holds wide[i]
+    for op, axes in block:
+        local = [loc[wide.index(x)] for x in axes]
+        if np.ndim(op) == 0:
+            _ones(b, local)[...] *= op
+        else:
+            b, moved = _matmul(b, local, op)
+            loc = [moved[x] for x in loc]
+    return b.transpose(loc + [m]).reshape(2**m, 2**m)
+
+
 def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
     """The gate list applied, in list order, to one 2**n state vector or to each
     column of a (2**n, k) batch; returns a new array of the same shape.
 
-    The states are one C-contiguous tensor of shape (2,)*n + (k,) with a map from
-    wire to axis, which SWAP updates.  A run of R/CR gates, SWAPs included, is
-    gathered in one phase table and applied in place before the next H or U gate;
-    H is the in-place butterfly (t0 + t1, t0 - t1), its 2**-0.5 applied in the
-    final copy (and as 2**-32 per 64 H); a U gate is one matmul, after a transpose
-    unless its axes are consecutive and in order.  Cost: O(2**n * k) per H or U
-    gate and per run, and O(2**n) per R or CR gate.
+    The states are one (2,)*n + (k,) tensor with a wire -> axis map that SWAP
+    updates.  A run of H, U, R and CR gates within _BLOCK axes becomes one matrix,
+    built on the identity and applied by one matmul; a wider U gate is applied
+    alone.  R/CR gates that do not fit the open block add +-2**-k turns (mod 1) to
+    their axis set, and each set puts one phase in a table applied once after the
+    block.  Cost: O(2**n * k * 2**m) per block on m <= _BLOCK axes or U gate on m
+    wires, and O(2**n) per distinct axis set in each phase run.
     """
     n = circuit.n_qubits
     shape = np.shape(states)
@@ -150,45 +193,44 @@ def apply_circuit(circuit: GateList, states: np.ndarray) -> np.ndarray:
     dims = (2,) * n + (shape[1:] or (1,))
     t = np.array(states, dtype=complex, order="C").reshape(dims)
     axis = list(range(n))  # axis[w] is the tensor axis that holds wire w
-    table = np.ones((2,) * n + (1,), dtype=complex)  # the R/CR run not yet applied to t
-    pending, h = False, 0  # h counts the H gates whose 2**-0.5 is not yet applied
+    table = np.ones((2,) * n + (1,), dtype=complex)
+    block, wide, run = [], set(), {}  # the open block, its axes, the phase run after it
 
-    def part(a, wires, bit):
-        """The slice of a where each of the wires holds the bit."""
-        index = [slice(None)] * (n + 1)
-        for w in wires:
-            index[axis[w]] = bit
-        return a[tuple(index)]
+    def flush(last=False):
+        nonlocal t, axis
+        moved = list(range(n + 1))
+        if block:
+            t, moved = _matmul(t, sorted(wide), _block_matrix(block, sorted(wide)))
+            axis = [moved[x] for x in axis]
+        for axes, turns in run.items():
+            _ones(table, [moved[x] for x in axes])[...] *= np.exp(2j * np.pi * turns)
+        if run and not last:  # the last run is applied in the final copy
+            t *= table
+            table[...] = 1
+        block.clear(), wide.clear(), run.clear()
 
     for g in circuit.gates:
+        axes = [axis[w] for w in g.wires]
+        fits = not run and len(wide.union(axes)) <= _BLOCK
         if g.kind == "SWAP":
-            a, b = g.wires
-            axis[a], axis[b] = axis[b], axis[a]
-        elif g.kind in ("R", "CR"):
-            part(table, g.wires, 1)[...] *= g.phase
-            pending = True
-        elif pending:
-            t *= table
-            table[...], pending = 1, False
-        if g.kind == "H":
-            t0, t1 = part(t, g.wires, 0), part(t, g.wires, 1)
-            t0 += t1
-            t1 *= -2
-            t1 += t0
-            h += 1
-            if h == 64:  # fold 2**-32 in, exactly, long before t could overflow
-                t *= 2.0**-32
-                h = 0
-        elif g.kind == "U":
-            mat = g.matrix.conj().T if g.dagger else g.matrix
-            m, targets = len(g.wires), [axis[w] for w in g.wires]
-            first = targets[0]
-            if targets != list(range(first, first + m)):
-                order = targets + [a for a in range(n + 1) if a not in targets]
-                t, axis, first = t.transpose(order), [order.index(a) for a in axis], 0
-            t = np.matmul(mat, t.reshape(2**first, 2**m, t.size >> (first + m))).reshape(dims)
-    scale = _H[0, 0].real ** (h % 2) * 2.0 ** -(h // 2)
-    return np.transpose(t * (table * scale), axis + [n]).reshape(shape)
+            axis[g.wires[0]], axis[g.wires[1]] = axes[1], axes[0]
+        elif g.kind in ("R", "CR") and not (block and fits):
+            key = tuple(sorted(axes))
+            run[key] = (run.get(key, 0.0) + g.turns) % 1.0
+        else:
+            if not fits:
+                flush()
+                axes = [axis[w] for w in g.wires]  # a block may have moved them
+            op = g.phase if g.kind in ("R", "CR") else _H if g.kind == "H" else g.matrix
+            op = op.conj().T if g.kind == "U" and g.dagger else op
+            if len(axes) > _BLOCK:
+                t, moved = _matmul(t, axes, op)
+                axis = [moved[x] for x in axis]
+            else:
+                block.append((op, axes))
+                wide.update(axes)
+    flush(last=True)
+    return np.transpose(t * table, axis + [n]).reshape(shape)
 
 
 def expand(circuit: GateList) -> np.ndarray:

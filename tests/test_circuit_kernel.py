@@ -28,14 +28,15 @@ from util import gate_matrix, loop_expand, rand_ket, rand_unitary
 
 @st.composite
 def kernel_gate_lists(draw):
-    """Random H, R/CR (with and without dagger), SWAP and 1-3-wire U gates on
-    1..4 wires; a gate may be repeated, or repeated on its reversed wires."""
-    n = draw(st.integers(1, 4))
+    """Random H, R/CR (with and without dagger), SWAP and 1-5-wire U gates on
+    1..6 wires, so that fused blocks fill, close and are skipped by wide U gates;
+    a gate may be repeated, or repeated on its reversed wires."""
+    n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = ["H", "R", "U"] + (["CR", "SWAP"] if n > 1 else [])
     gates = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=16)):
-        arity = {"H": 1, "R": 1, "CR": 2, "SWAP": 2}.get(kind) or draw(st.integers(1, min(3, n)))
+        arity = {"H": 1, "R": 1, "CR": 2, "SWAP": 2}.get(kind) or draw(st.integers(1, min(5, n)))
         wires = tuple(draw(st.permutations(range(n)))[:arity])
         k = draw(st.integers(1, 4)) if kind in ("R", "CR") else None
         matrix = rand_unitary(2**arity, rng) if kind == "U" else None
@@ -49,7 +50,7 @@ def kernel_gate_lists(draw):
     return GateList(n, gates)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(kernel_gate_lists())
 def test_expand_equals_loop_oracle(circ):
     assert max_abs(expand(circ) - loop_expand(circ)) < 1e-13
@@ -120,13 +121,33 @@ def test_kernel_leaves_gate_matrices_unchanged():
 def test_phase_is_the_last_entry_of_the_local_matrix(kind, wires, k, dagger):
     gate = Gate(kind, wires, k=k, dagger=dagger)
     want = np.exp((-1 if dagger else 1) * 2j * np.pi / 2**k)
+    assert gate.turns == (-1 if dagger else 1) * 2.0**-k
     assert gate.phase == want
     assert gate_matrix(gate)[-1, -1] == gate.phase
 
 
-# The kernel gathers each run of R/CR gates in one phase table and applies it
-# before the next H or U gate, runs H as an unscaled butterfly with one scale
-# at the end, and applies U gates by matmul after bringing their axes together.
+def test_phase_is_bit_identical_to_the_closed_form_for_k_up_to_60():
+    for k in range(1, 61):
+        for sign, dagger in ((1.0, False), (-1.0, True)):
+            want = np.exp(sign * 2j * np.pi / 2**k)
+            assert Gate("CR", (0, 1), k=k, dagger=dagger).phase == want, (k, dagger)
+
+
+@pytest.mark.parametrize("k", [1075, 1100, 10**6])
+@pytest.mark.parametrize("dagger", [False, True])
+def test_phase_of_a_huge_k_is_one(k, dagger):
+    """2.0**-k underflows to 0.0 past k = 1074, where 2**k as a float would overflow."""
+    gate = Gate("R", (0,), k=k, dagger=dagger)
+    assert gate.turns == 0
+    assert gate.phase == 1
+    circ = GateList(1, (Gate("H", (0,)), gate, Gate("H", (0,))))
+    assert max_abs(expand(circ) - np.eye(2)) < 1e-15
+
+
+# The kernel reads the gates once: each run of H, U, R and CR gates that fits in
+# circuits._BLOCK tensor axes becomes one small matrix applied by one matmul, a
+# wider U gate is applied alone, and the R/CR gates that do not fit the open
+# block are summed per axis set into one phase table.
 
 
 @st.composite
@@ -278,8 +299,102 @@ def test_h_and_r_cr_gates_allocate_no_state_sized_temporaries():
 
 @pytest.mark.parametrize("h", [2048, 2049, 3000])
 def test_thousands_of_h_gates_stay_finite(h):
-    """The butterfly doubles the norm squared per H; the deferred scale must not let
-    t overflow, which it would past about 2046 H gates without a fold."""
+    """Thousands of H gates in one block stay finite and unitary: an unscaled
+    butterfly would double the norm squared per H and overflow past about 2046."""
     step = GateList(2, (Gate("H", (0,)), Gate("CR", (0, 1), k=3)))
     circ = GateList(2, step.gates * h)
     assert max_abs(expand(circ) - np.linalg.matrix_power(loop_expand(step), h)) < 1e-11
+
+
+def expand_recording_blocks(circ, monkeypatch):
+    """expand(circ), and the blocks it built as (shape of each step, tensor axes):
+    () for a phase, (2**m, 2**m) for a matrix on m wires."""
+    blocks, real = [], circuits._block_matrix
+
+    def spy(block, wide):
+        blocks.append(([np.shape(op) for op, _ in block], list(wide)))
+        return real(block, wide)
+
+    monkeypatch.setattr(circuits, "_block_matrix", spy)
+    return expand(circ), blocks
+
+
+def steps(gates):
+    """The step shapes expand_recording_blocks reports for these gates, SWAPs aside."""
+    return [
+        () if g.kind in ("R", "CR") else (2 ** len(g.wires),) * 2 for g in gates if g.kind != "SWAP"
+    ]
+
+
+C = circuits._BLOCK
+
+
+def full_block(rng):
+    """H on each of wires 0..C-1, CR gates between them and a 2-wire U: one block exactly C wide."""
+    gates = [Gate("H", (w,)) for w in range(C)]
+    gates += [Gate("CR", (w, w + 1), k=w + 1) for w in range(C - 1)]
+    return gates + [Gate("U", (C - 1, 0), matrix=rand_unitary(4, rng))]
+
+
+def test_a_block_exactly_c_wide_is_one_block(monkeypatch):
+    rng = np.random.default_rng(21)
+    gates = full_block(rng) + [Gate("H", (C + 1,))]
+    circ = GateList(C + 2, gates)
+    u, blocks = expand_recording_blocks(circ, monkeypatch)
+    assert max_abs(u - loop_expand(circ)) < 1e-13
+    assert blocks == [(steps(gates[:-1]), list(range(C))), (steps(gates[-1:]), [C + 1])]
+
+
+def test_a_cr_that_would_widen_a_full_block_joins_the_phase_run(monkeypatch):
+    rng = np.random.default_rng(22)
+    first = full_block(rng)
+    gates = first + [Gate("CR", (0, C), k=2), Gate("CR", (C, 1), k=1, dagger=True), Gate("H", (0,))]
+    circ = GateList(C + 1, gates)
+    u, blocks = expand_recording_blocks(circ, monkeypatch)
+    assert max_abs(u - loop_expand(circ)) < 1e-13
+    assert blocks == [(steps(first), list(range(C))), (steps(gates[-1:]), [0])]
+
+
+def test_a_swap_inside_a_block_moves_its_later_gates(monkeypatch):
+    gates = [
+        Gate("H", (0,)),
+        Gate("CR", (0, 1), k=2),
+        Gate("SWAP", (0, C)),  # wire 0 now sits on axis C, wire C on axis 0
+        Gate("H", (0,)),
+        Gate("CR", (0, 1), k=3),
+        Gate("H", (C,)),
+        Gate("SWAP", (1, C)),
+        Gate("R", (1,), k=1, dagger=True),
+        Gate("H", (1,)),
+    ]
+    circ = GateList(C + 1, gates)
+    u, blocks = expand_recording_blocks(circ, monkeypatch)
+    assert max_abs(u - loop_expand(circ)) < 1e-13
+    assert blocks == [(steps(gates), [0, 1, C])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_u_gate_wider_than_a_block_is_applied_alone(seed, monkeypatch):
+    """Seed 0 puts the U gate on consecutive axes in order; the others scramble them."""
+    rng = np.random.default_rng(seed)
+    wires = tuple(int(w) for w in rng.permutation(C + 2)[: C + 1]) if seed else tuple(range(C + 1))
+    u = rand_unitary(2 ** len(wires), rng)
+    gates = [Gate("H", (0,)), Gate("CR", (0, C + 1), k=2), Gate("U", wires, matrix=u)]
+    gates += [Gate("H", (1,)), Gate("R", (C + 1,), k=3), Gate("U", wires[::-1], matrix=u, dagger=True)]
+    circ = GateList(C + 2, gates)
+    got, blocks = expand_recording_blocks(circ, monkeypatch)
+    assert max_abs(got - loop_expand(circ)) < 1e-13
+    assert all(shape in ((), (2, 2)) for shapes, _ in blocks for shape in shapes)
+
+
+@pytest.mark.parametrize("j, k", [(0, 1), (3, 2), (10, 11), (12, 13), (14, 1), (14, 3), (12, 60), (1, 60)])
+@pytest.mark.parametrize("dagger", [False, True])
+@pytest.mark.parametrize("after_a_full_block", [False, True])
+def test_a_cr_repeated_2_to_the_j_times_is_its_controlled_power(j, k, dagger, after_a_full_block):
+    """CR(k) repeated 2**j times is CR(k - j) for k > j and the identity for k <= j."""
+    prefix = full_block(np.random.default_rng(23)) if after_a_full_block else []
+    suffix = [Gate("H", (0,)), Gate("H", (C,))]
+    cr = Gate("CR", (C, 0), k=k, dagger=dagger)
+    power = [Gate("CR", (0, C), k=k - j, dagger=dagger)] if k > j else []
+    got = expand(GateList(C + 1, prefix + [cr] * 2**j + suffix))
+    assert max_abs(got - loop_expand(GateList(C + 1, prefix + power + suffix))) < 1e-13

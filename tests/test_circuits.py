@@ -232,6 +232,9 @@ class TestFullNaimarkCircuit:
         (lambda: Gate("U", (0,)), InvalidCircuitError, "U gates need an explicit matrix"),
         (lambda: Gate("H", (0,)).phase, InvalidCircuitError, "H gates carry no phase"),
         (lambda: GateList(0, ()), InvalidCircuitError, "need at least one qubit, got 0"),
+        (lambda: GateList(1.5, (Gate("H", (0,)),)), InvalidCircuitError,
+         "n_qubits must be an integer, got 1.5"),
+        (lambda: GateList("2", ()), InvalidCircuitError, "n_qubits must be an integer, got '2'"),
         (lambda: qudit_z_circuit(0), InvalidCircuitError, "need n >= 1 qubits, got 0"),
         (lambda: qcz_circuit(2, 0, (1,)), InvalidCircuitError, "expected 2 target wires, got [1]"),
         (lambda: cz_qudit_circuit(0), InvalidCircuitError, "need n >= 1 qubits per register, got 0"),
@@ -239,13 +242,19 @@ class TestFullNaimarkCircuit:
         (lambda: full_naimark_circuit(catalog_m("hesse"), 1), InvalidInputError,
          "completion matrix is 3x3; qubit synthesis needs d = 2**n = 2"),
     ],
-    ids=["k-on-H", "U-without-matrix", "phase-of-H", "no-qubits", "z-n0", "qcz-targets",
-         "cz-n0", "fourier-n0", "naimark-m-not-2n"],
+    ids=["k-on-H", "U-without-matrix", "phase-of-H", "no-qubits", "float-qubits", "str-qubits",
+         "z-n0", "qcz-targets", "cz-n0", "fourier-n0", "naimark-m-not-2n"],
 )
 def test_circuit_guards(build, error, fragment):
     with pytest.raises(error) as info:
         build()
     assert fragment in str(info.value)
+
+
+def test_gatelist_takes_a_numpy_integer_as_n_qubits():
+    circ = GateList(np.int64(2), (Gate("H", (1,)),))
+    assert type(circ.n_qubits) is int and circ.n_qubits == 2
+    assert expand(circ).shape == (4, 4)
 
 
 @pytest.mark.parametrize("n", [1, 2])
