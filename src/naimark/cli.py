@@ -2,7 +2,7 @@
 
 All outputs are UTF-8 JSON on stdout (or --out FILE); human-oriented one-line
 summaries go to stderr.  Exit codes: 0 success, 1 a requested check failed,
-2 invalid input, 3 unreadable/malformed file.
+2 invalid input or out of memory, 3 unreadable/malformed file.
 """
 
 from __future__ import annotations
@@ -345,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NaimarkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NaimarkError, MemoryError) as exc:  # only a bare MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

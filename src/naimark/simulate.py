@@ -18,10 +18,7 @@ from .fiducials import (
     gram_spectrum,
     wh_orbit,
 )
-from .wh import PHYSICAL_TOL, max_abs, require_index, require_unitary
-
-# Probabilities down to -_CLAMP are rounding and clamped to 0; lower is an error.
-_CLAMP = 1e-14
+from .wh import CLAMP_TOL, PHYSICAL_TOL, TRACE_TOL, max_abs, require_index, require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +34,7 @@ class OutcomeDistribution:
             raise InvalidInputError(f"expected {self.dim ** 2} probabilities, got {p.shape[0]}")
         if not np.isfinite(p).all():
             raise InvalidInputError("probabilities have non-finite entries (NaN or Inf)")
-        if not (np.min(p) >= -_CLAMP):
+        if not (np.min(p) >= -CLAMP_TOL):
             raise InvalidInputError(f"negative probability {np.min(p):.3e}")
         p = np.where(p < 0, 0.0, p)
         total = float(p.sum())
@@ -66,8 +63,7 @@ class DensityMatrix:
         if not (max_abs(rho - rho.conj().T) <= PHYSICAL_TOL):
             raise InvalidInputError("density matrix must be Hermitian")
         tr = complex(np.trace(rho))
-        # Looser than PHYSICAL_TOL: a reconstruction's rounding grows with gram_condition.
-        if not (abs(tr - 1.0) <= 1e-8):
+        if not (abs(tr - 1.0) <= TRACE_TOL):
             raise InvalidInputError(f"density matrix must have unit trace, got {tr:.12g}")
         object.__setattr__(self, "matrix", rho)
 

@@ -24,6 +24,8 @@ from .errors import InvalidDimensionError, InvalidInputError
 # Guards are written `not (x <= tol)` so that a NaN residual fails them.
 DEFAULT_TOL = 1e-12
 PHYSICAL_TOL = 1e-10
+CLAMP_TOL = 1e-14  # probabilities down to -CLAMP_TOL are rounding and clamped to 0; lower is an error
+TRACE_TOL = 1e-8  # a reconstructed trace: looser than PHYSICAL_TOL, rounding grows with gram_condition
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -274,8 +274,8 @@ def test_the_input_is_never_written(layout):
 
 def test_h_and_r_cr_gates_allocate_no_state_sized_temporaries():
     """Peak traced memory with 60 H, R, CR and SWAP gates stays within half a state
-    of the same circuit's final SWAP alone; one state-sized temporary per gate, or
-    a half-state one per H, would exceed it."""
+    of one block that needs a transposing copy, H(0) then CR(0, n-1); one
+    state-sized temporary per gate, or a half-state one per H, would exceed it."""
     n, k = 6, 1024
     rng = np.random.default_rng(3)
     gates = []
@@ -293,7 +293,7 @@ def test_h_and_r_cr_gates_allocate_no_state_sized_temporaries():
         finally:
             tracemalloc.stop()
 
-    bare = peak(GateList(n, (gates[-1],)))
+    bare = peak(GateList(n, (Gate("H", (0,)), Gate("CR", (0, n - 1), k=2))))
     assert peak(GateList(n, gates)) - bare < states.nbytes // 2
 
 

@@ -274,6 +274,31 @@ def test_simulate_check_exits_1_when_the_oracle_disagrees(capsys, monkeypatch):
     assert err.startswith("oracle cross-check residual ")
 
 
+# numpy's message when U for d = 322 (16 d^4 bytes) cannot be allocated.
+NUMPY_OOM = "Unable to allocate 160. GiB for an array with shape (103684, 103684) and data type complex128"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(NUMPY_OOM), f"error: {NUMPY_OOM}\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2_with_one_error_line(
+    capsys, monkeypatch, tmp_path, error, line
+):
+    """An uncaught MemoryError would exit 1, the code of a failed check, with a
+    traceback; stdout stays empty and no --out file is written."""
+    import naimark.cli as cli
+
+    def exhausted(_):
+        raise error
+
+    monkeypatch.setattr(cli, "complete_unitary", exhausted)
+    out_path = tmp_path / "u.json"
+    assert run(capsys, "build", "--ket", "[1, 0]", "--out", str(out_path)) == (2, "", line)
+    assert not out_path.exists()
+    assert run(capsys, "simulate", "--ket", "[1, 0]", "--state", "[1, 0]") == (2, "", line)
+
+
 def test_simulate_embedding_index_uses_partner_fiducial(capsys):
     rc, out, _ = run(capsys, "simulate", "--catalog", "qubit-sic", "--state", "[1, 0]",
                      "--index", "1", "--check")

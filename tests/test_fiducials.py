@@ -254,3 +254,39 @@ def test_full_gram_rank_implies_a_finite_condition_number(d, data):
     lam = np.array(values).reshape(d, d)
     assert gram_rank(lam) == d * d
     assert math.isfinite(gram_condition(lam))
+
+
+@pytest.mark.parametrize("d", [2, 7, 64])
+def test_gram_rank_cuts_at_tau_squared_over_d(d):
+    """One eigenvalue a factor 4 below the cut tau^2 / d and one a factor 4 above
+    it: only the first is a zero, so the rank is d^2 - 1.  A tau off by more than a
+    factor 2 either way counts d^2 or d^2 - 2."""
+    lam = np.full((d, d), 1 / d)
+    lam[0, 0] = rank_threshold(d) / 4
+    lam[-1, -1] = 4 * rank_threshold(d)
+    assert gram_rank(lam) == d * d - 1
+
+
+def tilted_qubit_sic(gap):
+    """The qubit ket with Bloch vector (x, x - gap, x), a unit vector: at gap 0 the
+    catalog's qubit SIC, (1, 1, 1) / sqrt(3).  Its overlaps |<phi|D(j,k)|phi>| are
+    |z|, |x| and |y| at (0, 1), (1, 0) and (1, 1)."""
+    x = (gap + math.sqrt(3 - 2 * gap**2)) / 3
+    y, z = x - gap, x
+    return np.array([math.sqrt((1 + z) / 2), (x + 1j * y) / math.sqrt(2 * (1 + z))])
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-8, 1e-7])
+def test_the_witness_band_is_default_tol_wide(gap):
+    """The least overlap, (1, 1), lies gap below the tied pair (0, 1), (1, 0), which
+    come first in row-major order.  A witness band of DEFAULT_TOL picks (1, 1); one
+    wider than gap (up to 1e-6) would pick (0, 1)."""
+    sic = builtin_fiducial(2, "qubit-sic").ket
+    assert abs(np.vdot(tilted_qubit_sic(0.0), sic)) == pytest.approx(1, abs=1e-15)
+    ket = tilted_qubit_sic(gap)
+    dense = np.abs(wh_orbit(ket).vectors @ ket.conj()).reshape(2, 2)  # the orbit oracle
+    assert dense[0, 1] - dense[1, 1] == pytest.approx(gap, rel=1e-5)
+    assert dense[1, 0] - dense[1, 1] == pytest.approx(gap, rel=1e-5)
+    res = is_informationally_complete(ket)
+    assert res.witness_index == (1, 1)
+    assert res.witness_overlap == pytest.approx(dense[1, 1], abs=1e-15)
