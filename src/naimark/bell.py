@@ -1,34 +1,35 @@
 """Generalized Bell-basis route to the same Naimark extension.
 
 Preparing the ancilla in the conjugated fiducial and rotating into the
-generalized Bell basis realizes the same interaction unitary as the
-block-circulant layout:
+generalized Bell basis realizes the interaction unitary
 
     U = B (I x M^T),    B = (I x F^dag) (sum_j X^{-j} x |j><j|),
 
-with the system on the first tensor factor and the ancilla (the control of
-the shift) on the second.
+system first, ancilla (the shift's control) second.  build_bell_naimark writes
+it as the block layout, by B's index rule; the dense product is the test oracle
+`bell_product_u` in tests/util.py.  On a 2-vCPU VM (numpy 2.4) the product took
+1.4 / 13 / 73 ms at d = 16 / 32 / 48 with a tracemalloc peak of 2.0 times U's
+16 d^4 bytes; the layout takes 0.22 / 1.5 / 27 ms and peaks at 1.19 / 1.06 / 1.04.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .block import NaimarkExtension
+from .block import NaimarkExtension, build_block_naimark
 from .errors import InvalidDimensionError
 from .fiducials import Fiducial
-from .wh import PHYSICAL_TOL, _omega_table, bell_change_of_basis, fourier, require_index, require_unitary
+from .wh import PHYSICAL_TOL, _omega_table, fourier, require_index, require_unitary
 
 
 def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
-    """Extension bundle via the Bell-basis route; entrywise equal to the block route.
+    """Extension bundle via the Bell-basis route, by B's index rule.
 
-    I x M^T is block diagonal, so B (I x M^T) is B reshaped to (d^3, d) times M^T.
+    Row (j, k) of B holds w^{-kl} / sqrt(d) at column (j+l, l) and zeros elsewhere,
+    and I x M^T mixes only the ancilla, so U[(j,k), (j+l,u)] = conj(F)[k,l] M[u,l]:
+    block (j, j+l) is S_l, the layout build_block_naimark checks M for and writes.
     """
-    m = require_unitary(m, tol=PHYSICAL_TOL, what="completion matrix M")
-    d = m.shape[0]
-    u = (bell_change_of_basis(d).reshape(d**3, d) @ m.T).reshape(d * d, d * d)
-    return NaimarkExtension(d=d, M=m, U=u)
+    return build_block_naimark(m)
 
 
 def controlled_shift(d: int) -> np.ndarray:

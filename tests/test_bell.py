@@ -1,6 +1,7 @@
 """Bell-basis route, closed-form matrix elements, and control/target duality."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from naimark.cli import main
 from naimark.wh import DEFAULT_TOL, max_abs
 
 from util import (
+    bell_product_u,
     closed_form_u,
     controlled_clock_closed_form,
     controlled_shift_closed_form,
@@ -58,6 +60,7 @@ def test_block_and_bell_routes_agree(d):
         u_block = build_block_naimark(m).U
         u_bell = build_bell_naimark(m).U
         assert max_abs(u_block - u_bell) < 1e-10
+        assert max_abs(bell_product_u(m) - u_bell) < 1e-12
 
 
 def test_matrix_element_trivial_entries():
@@ -74,6 +77,21 @@ def test_matrix_element_exhaustive_against_product(d):
     rng = np.random.default_rng(77 + d)
     m = rand_unitary(d, rng)
     assert max_abs(closed_form_u(m) - build_bell_naimark(m).U) < 1e-12
+    assert max_abs(closed_form_u(m) - bell_product_u(m)) < 1e-12
+
+
+def test_bell_route_peak_memory_is_about_one_u_at_d32():
+    """U alone is 16 d^4 bytes; a dense B would be as large again (a peak of 2.0 U)."""
+    d = 32
+    m = rand_unitary(d, np.random.default_rng(32))
+    tracemalloc.start()
+    try:
+        u = build_bell_naimark(m).U
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 16 * d**4
+    assert peak <= 1.25 * u.nbytes
 
 
 def test_matrix_element_spot_checks_hesse():

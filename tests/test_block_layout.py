@@ -26,6 +26,7 @@ from naimark.block import structure_report
 from naimark.wh import max_abs
 
 from util import (
+    bell_product_u,
     closed_form_u,
     first_block_row,
     loop_block_constraints,
@@ -102,8 +103,10 @@ def test_structure_report_matches_loop_report(m, seed, scale):
 def test_block_bell_and_clock_routes_agree(m):
     block = build_block_naimark(m).U
     assert max_abs(build_bell_naimark(m).U - block) < ROUTE_TOL
+    assert np.array_equal(build_bell_naimark(m).U, block)  # the Bell route writes the block layout
     assert max_abs(clock_decomposition(m) - block) < ROUTE_TOL
     assert max_abs(closed_form_u(m) - block) < ROUTE_TOL
+    assert max_abs(bell_product_u(m) - block) < ROUTE_TOL
 
 
 def test_catalog_reports_match_loop_report():

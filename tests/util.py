@@ -139,10 +139,11 @@ def dense_measure_probabilities(u, psi, i):
     return np.abs(u @ embed(psi, i)) ** 2
 
 
-# Closed forms of the Bell route.  The library builds U as B (I x M^T) and the
-# controlled shift and clock from index rules; these are the entrywise formula
-# for U, the Kronecker sums of the controlled shift and clock, and B built from
-# the shift's Kronecker sum, so no oracle here rests on a library index rule.
+# Closed forms of the Bell route.  The library lays U = B (I x M^T) out by B's
+# index rule and builds the controlled shift and clock from index rules; these
+# are the entrywise formula for U, the Kronecker sums of the controlled shift
+# and clock, B built from the shift's Kronecker sum, and the dense product
+# B (I x M^T), so no oracle here rests on a library index rule.
 
 
 def closed_form_u(m):
@@ -174,6 +175,12 @@ def shift_decomposition(d):
     """(I x F^dag)(sum_j X^{-j} x |j><j|): the Bell rotation B as a Kronecker product,
     the qudit form of the CNOT-then-Hadamard Bell circuit."""
     return np.kron(np.eye(d), fourier(d).conj().T) @ controlled_shift_closed_form(d).conj().T
+
+
+def bell_product_u(m):
+    """U = B (I x M^T) as a dense product, B from shift_decomposition."""
+    d = m.shape[0]
+    return shift_decomposition(d) @ np.kron(np.eye(d), m.T)
 
 
 # Loop oracles for the block layer.  The library lays U out with one
