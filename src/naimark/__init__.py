@@ -1,11 +1,11 @@
 """Naimark extensions of Weyl-Heisenberg covariant rank-one measurements.
 
 The package constructs the d^2 x d^2 interaction unitary for any rank-one
-WH covariant POVM from a single d x d completion matrix, via three provably
-identical routes (a block-circulant layout, a generalized Bell-basis rotation
-and its controlled-clock dual), decomposes it into qubit gates when
-d = 2**n, and simulates and verifies the resulting measurements against
-direct Born-rule oracles.
+WH covariant POVM from a single d x d completion matrix.  The block and Bell names
+share one writer, the block-circulant layout of U = (I x F^dag) P (I x M^T), P the
+controlled shift; the controlled-clock dual is the independent cross-check.  It
+decomposes U into qubit gates when d = 2**n, and simulates and verifies the
+resulting measurements against direct Born-rule oracles.
 """
 
 __version__ = "0.1.0"

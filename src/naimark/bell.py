@@ -3,13 +3,10 @@
 Preparing the ancilla in the conjugated fiducial and rotating into the
 generalized Bell basis realizes the interaction unitary
 
-    U = B (I x M^T),    B = (I x F^dag) (sum_j X^{-j} x |j><j|),
+    U = B (I x M^T) = (I x F^dag) P (I x M^T),    P = sum_j X^{-j} x |j><j|,
 
-system first, ancilla (the shift's control) second.  build_bell_naimark writes
-it as the block layout, by B's index rule; the dense product is the test oracle
-`bell_product_u` in tests/util.py.  On a 2-vCPU VM (numpy 2.4) the product took
-1.4 / 13 / 73 ms at d = 16 / 32 / 48 with a tracemalloc peak of 2.0 times U's
-16 d^4 bytes; the layout takes 0.22 / 1.5 / 27 ms and peaks at 1.19 / 1.06 / 1.04.
+system first, ancilla (the shift's control) second.  P, B and U are one layout of the
+blocks a|q><q|b (`wh._layout`); the dense product is the test oracle `bell_product_u`.
 """
 
 from __future__ import annotations
@@ -19,16 +16,12 @@ import numpy as np
 from .block import NaimarkExtension, build_block_naimark
 from .errors import InvalidDimensionError
 from .fiducials import Fiducial
-from .wh import PHYSICAL_TOL, _omega_table, fourier, require_index, require_unitary
+from .wh import PHYSICAL_TOL, _layout, _omega_table, fourier, require_index, require_unitary
 
 
 def build_bell_naimark(m: np.ndarray) -> NaimarkExtension:
-    """Extension bundle via the Bell-basis route, by B's index rule.
-
-    Row (j, k) of B holds w^{-kl} / sqrt(d) at column (j+l, l) and zeros elsewhere,
-    and I x M^T mixes only the ancilla, so U[(j,k), (j+l,u)] = conj(F)[k,l] M[u,l]:
-    block (j, j+l) is S_l, the layout build_block_naimark checks M for and writes.
-    """
+    """Extension bundle via the Bell-basis route: B (I x M^T) = (I x F^dag) P (I x M^T)
+    is the layout build_block_naimark checks M for and writes."""
     return build_block_naimark(m)
 
 
@@ -36,10 +29,7 @@ def controlled_shift(d: int) -> np.ndarray:
     """sum_j X^{-j} x |j><j|, the permutation stated in the README's Bell-route bullet."""
     if d < 2:
         raise InvalidDimensionError(f"controlled shift needs d >= 2, got {d}")
-    t, j = np.ogrid[:d, :d]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    out[((t - j) % d) * d + j, t * d + j] = 1
-    return out
+    return _layout(np.eye(d), np.eye(d))
 
 
 def controlled_clock(d: int) -> np.ndarray:

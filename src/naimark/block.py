@@ -4,8 +4,8 @@ The d^2 x d^2 interaction unitary is assembled from d rank-one blocks
 
     S_k = |f_k><m_k|,   |f_k> = F^dag |k>,   <m_k| = row k of M^T,
 
-laid out block-circulantly with first block row [S_0 S_1 ... S_{d-1}]; the
-block at block-position (r, t) is S_{(t - r) mod d}.  M is any unitary whose
+laid out block-circulantly: block (r, t) is S_{(t - r) mod d}, so U = (I x F^dag) P (I x M^T)
+with P the controlled shift, written by wh._layout as P and B are.  M is any unitary whose
 first row is the conjugated fiducial, so the normalization 1/sqrt(d) lives
 inside the Fourier column and nowhere else.
 """
@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fiducials import Fiducial, as_ket
-from .wh import PHYSICAL_TOL, fourier, max_abs, require_normalized, require_unitary, unitarity_residual
+from .wh import PHYSICAL_TOL, _blocks, _circulant, _layout, fourier, max_abs
+from .wh import require_normalized, require_unitary, unitarity_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,20 +53,7 @@ def _block_row(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"completion matrix must be square, got {m.shape}")
-    return fourier(m.shape[0]).conj()[:, :, None] * m.T[:, None, :]
-
-
-def _circulant(s: np.ndarray):
-    """Yield (index, part) pairs that lay out the block circulant with first block row s.
-
-    The layout rule, stated only here: block (r, t) is s[(t - r) mod d], so
-    block row r is block row 0 rolled r blocks right: two slice copies, u[index] = part.
-    """
-    d = len(s)
-    row = s.transpose(1, 0, 2).reshape(d, d * d)
-    for k in range(0, d * d, d):
-        yield (slice(k, k + d), slice(k, None)), row[:, : d * d - k]
-        yield (slice(k, k + d), slice(0, k)), row[:, d * d - k :]
+    return _blocks(fourier(m.shape[0]).conj().T, m.T)
 
 
 def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -80,10 +68,7 @@ def diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
 def build_block_naimark(m: np.ndarray) -> NaimarkExtension:
     """Full extension bundle: the rank-one blocks laid out block-circulantly."""
     m = require_unitary(m, PHYSICAL_TOL, "completion matrix M")
-    u = np.empty((m.shape[0] ** 2,) * 2, dtype=complex)
-    for index, part in _circulant(_block_row(m)):
-        u[index] = part
-    return NaimarkExtension(d=m.shape[0], M=m, U=u)
+    return NaimarkExtension(d=m.shape[0], M=m, U=_layout(fourier(m.shape[0]).conj().T, m.T))
 
 
 def structure_report(u: np.ndarray, m: np.ndarray | None = None) -> dict:

@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
         print(f"oracle cross-check residual {residual:.3e}", file=sys.stderr)
     if args.shots > 0:
         counts = sample(dist, args.shots, args.seed)
-        out["counts"] = [int(c) for c in counts]
+        out["counts"] = counts.tolist()
         out["shots"] = args.shots
         out["seed"] = args.seed
     _emit(out, args.out)

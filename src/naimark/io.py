@@ -206,4 +206,4 @@ def gatelist_to_obj(circuit: GateList) -> dict:
 
 def distribution_to_obj(d: int, probs: np.ndarray) -> dict:
     """Flat probability array indexed by j*d + k."""
-    return {"d": int(d), "index": "j*d+k", "probs": [float(p) for p in np.asarray(probs)]}
+    return {"d": int(d), "index": "j*d+k", "probs": np.asarray(probs, dtype=float).tolist()}

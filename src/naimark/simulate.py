@@ -125,6 +125,8 @@ def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per (j, k); deterministic for a fixed seed."""
     if not 1 <= n_shots <= 2**63 - 1:  # multinomial counts in int64
         raise InvalidInputError(f"need 1 <= shots <= 2**63 - 1, got {n_shots}")
+    if not (hasattr(type(seed), "__index__") and seed >= 0):  # what operator.index takes
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     p = dist.probs / dist.probs.sum()
     return rng.multinomial(n_shots, p)

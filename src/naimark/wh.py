@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * displacement:  D(j, k) = X^j Z^k  (no extra phase prefactor, also for even d)
 * Fourier:  F = d^{-1/2} sum_{jk} w^{jk} |j><k|,  so that  X = F^dag Z F
 * pair indices (j, k) flatten to the linear index j*d + k everywhere
+* controlled shift:  P = sum_j X^{-j} x |j><j|; U = (I x F^dag) P (I x M^T), and P,
+  B = (I x F^dag) P and U are written by one layout of the blocks a|q><q|b (_layout)
 
 All functions are pure and return freshly allocated arrays.
 """
@@ -62,13 +64,9 @@ def require_index(i: int, d: int) -> None:
         raise InvalidInputError(f"embedding index {i} out of range for d={d}")
 
 
-def _phases(exponents: np.ndarray, d: int) -> np.ndarray:
-    # Reduce exponents mod d before exponentiating; keeps phases exact-ish.
-    return np.exp(2j * np.pi * (np.asarray(exponents) % d) / d)
-
-
 def _omega_table(d: int) -> np.ndarray:  # w^{kl}, indexed [k, l]
-    return _phases(np.outer(np.arange(d), np.arange(d)), d)
+    # Reduce exponents mod d before exponentiating; keeps phases exact-ish.
+    return np.exp(2j * np.pi * (np.outer(np.arange(d), np.arange(d)) % d) / d)
 
 
 def shift_op(d: int) -> np.ndarray:
@@ -91,7 +89,7 @@ def displacement(d: int, j: int, k: int) -> np.ndarray:
     j, k = j % d, k % d
     ell = np.arange(d)
     out = np.zeros((d, d), dtype=complex)
-    out[(ell + j) % d, ell] = _phases(k * ell, d)
+    out[(ell + j) % d, ell] = _omega_table(d)[k]
     return out
 
 
@@ -115,11 +113,34 @@ def bell_change_of_basis(d: int) -> np.ndarray:
 
     Row j*d + k is the conjugate transpose of bell_vector(d, j, k), so the
     matrix sends |D(j,k)> to |j,k>: its entry at column (j+l mod d)*d + l is
-    w^{-kl} / sqrt(d), and every other entry is zero.
+    w^{-kl} / sqrt(d), and every other entry is zero: B = (I x F^dag) P = _layout(F^dag, I).
     """
     if d < 2:
         raise InvalidDimensionError(f"Bell change of basis needs d >= 2, got {d}")
-    j, k, ell = np.ogrid[:d, :d, :d]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    out[j * d + k, ((j + ell) % d) * d + ell] = _phases(k * ell, d) / np.sqrt(d)
-    return np.conj(out, out=out)
+    return _layout(fourier(d).conj().T, np.eye(d))
+
+
+def _blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (d, d, d) stack of blocks a|q><q|b, S[q, s, u] = a[s, q] b[q, u]."""
+    return a.T[:, :, None] * b[:, None, :]
+
+
+def _circulant(s: np.ndarray):
+    """Yield (index, part) pairs that lay out the block circulant with first block row s.
+
+    The layout rule, stated only here: block (r, t) is s[(t - r) mod d], so
+    block row r is block row 0 rolled r blocks right: two slice copies, u[index] = part.
+    """
+    d = len(s)
+    row = s.transpose(1, 0, 2).reshape(d, d * d)
+    for k in range(0, d * d, d):
+        yield (slice(k, k + d), slice(k, None)), row[:, : d * d - k]
+        yield (slice(k, k + d), slice(0, k)), row[:, d * d - k :]
+
+
+def _layout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I x a) P (I x b) as a new complex array; P's block (r, t) is |q><q|, q = t - r mod d."""
+    out = np.empty((len(a) ** 2,) * 2, dtype=complex)
+    for index, part in _circulant(_blocks(a, b)):
+        out[index] = part
+    return out

@@ -23,6 +23,7 @@ from naimark import (
     sic_report,
 )
 from naimark.bell import controlled_clock, controlled_shift
+from naimark.block import structure_report
 from naimark.cli import main
 from naimark.wh import DEFAULT_TOL, max_abs
 
@@ -209,6 +210,16 @@ def test_controlled_index_rules_match_kronecker_sums(d):
     # The oracle's matrix powers drift from the exact phases as d grows (1.1e-14 at d = 16).
     assert np.array_equal(controlled_shift(d).conj().T, controlled_shift_closed_form(d))
     assert max_abs(controlled_clock(d).conj() - controlled_clock_closed_form(d)) < DEFAULT_TOL
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 16))
+def test_bell_rotation_is_exactly_u_of_the_identity(d):
+    # B = (I x F^dag) P and U(I) = (I x F^dag) P (I x I) come from one layout, entry for entry.
+    b = bell_change_of_basis(d)
+    assert np.array_equal(b, build_block_naimark(np.eye(d)).U)
+    assert structure_report(b)["block_circulant"] == 0.0
+    assert structure_report(controlled_shift(d))["block_circulant"] == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the residual

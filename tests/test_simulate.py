@@ -207,6 +207,17 @@ class TestSampling:
             sample(dist, 2**63, seed=1)
         assert sample(dist, 2**63 - 1, seed=1).sum() == 2**63 - 1
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_validated(self, seed):
+        # numpy would raise its own ValueError for -1 and a TypeError for 1.5.
+        dist = OutcomeDistribution(2, np.full(4, 0.25))
+        with pytest.raises(InvalidInputError, match=f"seed must be a non-negative integer, got {seed}"):
+            sample(dist, 5, seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        dist = OutcomeDistribution(2, np.full(4, 0.25))
+        assert np.array_equal(sample(dist, 1000, np.int64(7)), sample(dist, 1000, 7))
+
 
 class TestTomography:
     @pytest.mark.parametrize("label,d", [("qubit-sic", 2), ("hesse", 3), ("ququart-sic", 4)])
