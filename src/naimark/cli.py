@@ -78,7 +78,7 @@ def _emit(obj: dict, out: str | None) -> None:
 def _parse_ket(text: str) -> np.ndarray:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or an over-long int
         raise ParseError(f"ket is not valid JSON: {exc}") from exc
 
     def number(x) -> bool:
@@ -101,9 +101,10 @@ def _read_ket(inline: str | None, path: str, what: str) -> np.ndarray:
         return _parse_ket(inline)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _parse_ket(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: the file is not UTF-8
         raise ParseError(f"cannot read {what} file: {exc}") from exc
+    return _parse_ket(text)
 
 
 def _resolve_fiducial(args) -> tuple[Fiducial, np.ndarray, str]:

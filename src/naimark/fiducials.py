@@ -159,17 +159,25 @@ def cyclic_shifts(v: np.ndarray) -> np.ndarray:
     return v[(np.arange(d)[:, None] + np.arange(d)) % d]
 
 
+def _moyal(table: np.ndarray) -> np.ndarray:
+    """out[x, y] = table[y, -x], the map from 2-D DFT indices over Z_d x Z_d to Weyl indices.
+
+    Discrete Moyal identity: D(a) D(c) D(a)^dag = w^{[a,c]} D(c), [a,c] = j_c k_a - k_c j_a.
+    Put |phi><phi| = (1/d) sum_c conj(chi(c)) D(c) and rho = (1/d) sum_c r(c) D(c), with
+    r(c) = tr(D(c)^dag rho), into p(a) = tr(D(a)|phi><phi|D(a)^dag rho) / d: then
+    sum_a w^{[a,c]} p(a) = chi(c) r(c), and at c = (x, y) w^{[a,c]} is the fft2 kernel at
+    (y, -x), so _moyal(fft2(p)) = chi * r.  rho = |phi><phi| gives r = conj(chi).
+    """
+    return table.T[-np.arange(len(table)) % len(table)]
+
+
 def gram_spectrum(chi: np.ndarray) -> np.ndarray:
     """Eigenvalues of the d^2 x d^2 frame Gram, lam[p, q] = |chi(q, -p)|^2 / d.
 
-    lam[p, q] is the eigenvalue of Fourier mode (p, q), the 2-D DFT of |chi|^2 / d^2.
-    Discrete Moyal identity: D(a) D(c) D(a)^dag = w^{[a,c]} D(c), [a,c] = j_c k_a - k_c j_a,
-    and |phi><phi| = (1/d) sum_c conj(chi(c)) D(c) give sum_a w^{-[a,c]} |chi(a)|^2 =
-    d |chi(c)|^2; c = (q, -p) makes w^{-[a,c]} the DFT kernel.  So lam >= 0 exactly,
-    with chi's relative accuracy (an FFT of |chi|^2 errs by eps * lam_max everywhere).
+    lam is the 2-D DFT of the Gram's kernel |chi|^2 / d^2 (`_moyal`, with |chi(-c)| = |chi(c)|),
+    so lam >= 0 exactly, with chi's relative accuracy (an FFT of |chi|^2 errs by eps * lam_max).
     """
-    d = chi.shape[0]
-    return np.abs(chi.T[-np.arange(d) % d]) ** 2 / d
+    return np.abs(_moyal(chi)) ** 2 / chi.shape[0]
 
 
 def gram_condition(spectrum: np.ndarray) -> float:
@@ -192,7 +200,7 @@ def gram_rank(spectrum: np.ndarray) -> int:
     return int(np.count_nonzero(spectrum > tau**2 / d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ICResult:
     """Outcome of an informational-completeness check.
 

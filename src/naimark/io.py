@@ -172,7 +172,7 @@ def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, long ints
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     bundle = isinstance(obj, dict) and "re" not in obj
     missing = [key for key in keys if bundle and key not in obj]

@@ -10,6 +10,7 @@ from .block import NaimarkExtension
 from .errors import InvalidInputError, RankDeficientFrameError
 from .fiducials import (
     Fiducial,
+    _moyal,
     as_ket,
     characteristic,
     cyclic_shifts,
@@ -135,29 +136,28 @@ def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
 def tomography_reconstruct(
     phi: Fiducial | np.ndarray, dist: OutcomeDistribution
 ) -> DensityMatrix:
-    """Linear inversion on the frame {E(j,k)}: solve G x = p, set rho = sum x_a E_a.
+    """Linear inversion on the frame {E(j,k)}, by rho's Weyl coefficients.
 
-    The frame Gram G[a, b] = |chi(b - a)|^2 / d^2 is a convolution over
-    Z_d x Z_d, so G x = p is solved as a deconvolution, x = ifft2(fft2(p) / lam)
-    with lam = gram_spectrum(chi), and rho = `_frame_sum`: O(d^2 log d), plus
-    O(d^3) for eigvalsh.  Requires an informationally complete fiducial; a
-    rank-deficient Gram matrix is rejected rather than pseudo-inverted.  Full
-    rank means every lam > tau^2 / d > 0 (`gram_rank`), so the condition number
-    is finite.  Positivity of the result is diagnosed (min eigenvalue), not enforced.
+    By the Moyal identity (derived at `fiducials._moyal`), r[j, k] = tr(D(j,k)^dag rho)
+    is fft2(p)[k, -j] / chi[j, k], and rho = (1/d) sum r[j, k] D(j,k) is
+    rho[(n + j) mod d, n] = ifft(r, axis=1)[j, n]: O(d^2 log d), plus O(d^3) for eigvalsh.
+    A frame Gram of rank < d^2 (`gram_rank`) is rejected, not pseudo-inverted; at full
+    rank every |chi| > tau > 0.  Positivity is diagnosed (min eigenvalue), not enforced.
     """
     ket = as_ket(phi)
     d = ket.shape[0]
     if dist.dim != d:
         raise InvalidInputError(f"distribution has d={dist.dim}, fiducial has d={d}")
-    lam = gram_spectrum(characteristic(ket))
+    chi = characteristic(ket)
+    lam = gram_spectrum(chi)
     rank = gram_rank(lam)
     if rank < d * d:
         raise RankDeficientFrameError(
             f"frame Gram matrix has rank {rank} < {d * d}; fiducial is not "
             "informationally complete"
         )
-    x = np.fft.ifft2(np.fft.fft2(dist.probs.reshape(d, d)) / lam).real
-    rho = _frame_sum(ket, x)
+    y = np.fft.ifft(_moyal(np.fft.fft2(dist.probs.reshape(d, d))) / chi, axis=1)
+    rho = y[(np.arange(d)[:, None] - np.arange(d)) % d, np.arange(d)]  # rho[m, n] = y[m - n, n]
     rho = (rho + rho.conj().T) / 2
     eigs = np.linalg.eigvalsh(rho)
     return DensityMatrix(
@@ -166,13 +166,3 @@ def tomography_reconstruct(
         min_eigenvalue=float(eigs[0]),
         gram_condition=gram_condition(lam),
     )
-
-
-def _frame_sum(ket: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_{j,k} x[j, k] E(j,k) as rho[m, m - c] = (1/d) sum_j Y[j, c] g_c[m - j],
-    a cyclic convolution over j of Y = d ifft(x, axis=1) and g_c[l] = phi_l conj(phi_{l-c})."""
-    d = ket.shape[0]
-    diff = (np.arange(d)[:, None] - np.arange(d)) % d  # diff[m, n] = m - n
-    g = ket[:, None] * ket.conj()[diff]  # g[l, c] = g_c[l]
-    y = np.fft.fft(np.fft.ifft(x, axis=1), axis=0)
-    return np.take_along_axis(np.fft.ifft(y * np.fft.fft(g, axis=0), axis=0), diff, axis=1)

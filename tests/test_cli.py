@@ -788,3 +788,73 @@ def test_verify_fiducial_deviation_is_row_0_of_the_compound_report(capsys, tmp_p
     (u, _), (m, _) = load_matrices(str(path), "U", "M")
     m_rec = structure_report(u, m)["recovered_m"]
     assert doc["fiducial_sic_deviation"] == sic_report(m_rec[0].conj())  # what verify wrote before
+
+
+# Files that cannot be decoded: bytes that are not UTF-8, an integer longer than the
+# 4,300 digits Python converts, and arrays nested deeper than the recursion limit.
+UNDECODABLE = {
+    "not-utf8": b'\xff\xfe{"d": 3}',
+    "long-int": b"[1" + b"0" * 5000 + b", 0]",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def file_flag_argv(flag, path, bundle):
+    """A command whose only bad input is the file at path, read by flag."""
+    return {
+        "verify --u": ["verify", "--u", path],
+        "verify --m": ["verify", "--u", bundle, "--m", path],
+        "build --ket-file": ["build", "--ket-file", path],
+        "simulate --ket-file": ["simulate", "--ket-file", path, "--state", "[1, 0]"],
+        "simulate --state-file": ["simulate", "--catalog", "qubit-sic", "--state-file", path],
+        "circuit naimark --m": ["circuit", "naimark", "--n", "1", "--m", path],
+    }[flag]
+
+
+@pytest.fixture(scope="module")
+def hesse_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "hesse.json"
+    assert main(["build", "--catalog", "hesse", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+@pytest.mark.parametrize("flag", [
+    "verify --u", "verify --m", "build --ket-file", "simulate --ket-file",
+    "simulate --state-file", "circuit naimark --m",
+])
+def test_an_undecodable_file_exits_3_with_one_error_line(
+    capsys, tmp_path, hesse_bundle, flag, content
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, *file_flag_argv(flag, str(path), hesse_bundle))
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[1" + "0" * 5000 + ", 0]", "[" * 100_000 + "]" * 100_000,
+], ids=["long-int", "deep"])
+@pytest.mark.parametrize("argv", [
+    ["build", "--ket", "{}"],
+    ["simulate", "--ket", "{}", "--state", "[1, 0]"],
+    ["simulate", "--catalog", "qubit-sic", "--state", "{}"],
+], ids=["build --ket", "simulate --ket", "simulate --state"])
+def test_an_undecodable_inline_ket_exits_3_with_one_error_line(capsys, argv, text):
+    rc, out, err = run(capsys, *[text if a == "{}" else a for a in argv])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ket is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_an_undecodable_file_exits_3_without_traceback(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    proc = run_cli("verify", "--u", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read matrix file ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

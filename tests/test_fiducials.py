@@ -144,6 +144,15 @@ def test_ic_check_accepts_hesse():
     assert is_informationally_complete(builtin_fiducial(3, "hesse"))
 
 
+def test_ic_results_compare_by_identity_and_hash():
+    """ICResult holds an ndarray, so field-wise == would raise; it compares like the
+    other result types, by identity."""
+    res, res2 = (is_informationally_complete(builtin_fiducial(3, "hesse")) for _ in range(2))
+    assert res == res and res != res2
+    assert res in [res2, res] and res not in [res2]
+    assert hash(res) == hash(res) and len({res, res2, res}) == 2
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_random_fiducials_are_ic(d):
     rng = np.random.default_rng(4200 + d)

@@ -1,11 +1,12 @@
 """Admitting a fiducial from d x d data, against the orbit and loop forms.
 
-The Gram spectrum read off chi, the frame sum by one convolution over the
-shift, the QR completion and the slice-copy layout are checked against the
-2-D FFT, the orbit product, the Gram-Schmidt loop and the block-row rolls in
+The Gram spectrum read off chi, tomography by the Moyal identity, the QR
+completion and the slice-copy layout are checked against the 2-D FFT, states
+built as orbit frame sums, the Gram-Schmidt loop and the block-row rolls in
 util.py.  The rank rule is checked on kets whose chi has exact zeros and on
-a fiducial whose chi has one entry of 1e-7.  A guard at d = 64 shows that
-tomography and the completion never build the orbit.
+a fiducial whose chi has one entry of 1e-7.  Guards show that tomography reads
+the fiducial through one `characteristic` call, and that tomography and the
+completion never build the orbit.
 """
 
 import sys
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import naimark
 from naimark import (
+    OutcomeDistribution,
+    RankDeficientFrameError,
     build_block_naimark,
     complete_unitary,
     direct_probabilities,
@@ -24,10 +28,10 @@ from naimark import (
     tomography_reconstruct,
 )
 from naimark.fiducials import characteristic, gram_rank, gram_spectrum
-from naimark.simulate import _frame_sum
 from naimark.wh import max_abs
 
 from util import (
+    dense_elements,
     fft2_gram_spectrum,
     gram_schmidt_completion,
     loop_blocks,
@@ -65,10 +69,19 @@ def test_completion_matches_gram_schmidt(ket):
 
 @PROPERTY
 @given(kets(24), seeds)
-def test_frame_sum_matches_orbit_product(ket, seed):
+def test_tomography_returns_a_frame_sum_state(ket, seed):
+    """rho = sum_a x_a E(a) with x >= 0 and sum x = d is a state; tomography of its
+    law gives rho back when the frame is IC, and RankDeficientFrameError when not."""
     d = ket.shape[0]
-    x = np.random.default_rng(seed).standard_normal((d, d))
-    assert max_abs(_frame_sum(ket, x) - orbit_frame_sum(ket, x)) < 1e-14
+    x = np.random.default_rng(seed).random((d, d))
+    rho = orbit_frame_sum(ket, x * (d / x.sum()))
+    dist = OutcomeDistribution(d, np.einsum("mn,anm->a", rho, dense_elements(ket)).real)
+    if gram_rank(gram_spectrum(characteristic(ket))) < d * d:
+        with pytest.raises(RankDeficientFrameError):
+            tomography_reconstruct(ket, dist)
+        return
+    rec = tomography_reconstruct(ket, dist)
+    assert max_abs(rec.matrix - rho) < max(1e-12, 16 * np.finfo(float).eps * rec.gram_condition)
 
 
 @PROPERTY
@@ -165,3 +178,26 @@ def test_no_orbit_and_no_fft_for_the_spectrum_at_d64(monkeypatch):
     for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, forbidden)
     assert gram_rank(gram_spectrum(chi)) == d * d
+
+
+def test_tomography_reads_the_fiducial_through_one_characteristic_call(monkeypatch):
+    d = 16
+    rng = np.random.default_rng(1601)
+    phi, psi = rand_ket(d, rng), rand_ket(d, rng)
+    dist = measure_probabilities(complete_unitary(phi), psi)
+    calls = []
+
+    def counted(ket):
+        calls.append(ket)
+        return characteristic(ket)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("orbit built")
+
+    monkeypatch.setattr(naimark.simulate, "characteristic", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("naimark") and hasattr(module, "wh_orbit"):
+            monkeypatch.setattr(module, "wh_orbit", forbidden)
+    rec = tomography_reconstruct(phi, dist)
+    assert len(calls) == 1
+    assert max_abs(rec.matrix - np.outer(psi, psi.conj())) < 1e-12

@@ -87,10 +87,10 @@ def dense_tomography(phi, probs, gram=None):
 
 
 # Orbit and loop forms of admitting a fiducial.  The library reads the Gram
-# spectrum off chi by an index rule, sums the frame by one convolution over
-# the shift, completes M by one QR and lays U out by slice copies; these are
-# the 2-D FFT, the orbit product, the Gram-Schmidt loop and the block-row
-# rolls it once used.
+# spectrum off chi by the Moyal re-index, inverts the frame by dividing fft2(p)
+# by chi, completes M by one QR and lays U out by slice copies; these are the
+# 2-D FFT, the orbit product (which makes states with known frame coefficients),
+# the Gram-Schmidt loop and the block-row rolls it once used.
 
 
 def fft2_gram_spectrum(chi):
@@ -127,6 +127,19 @@ def roll_layout(s):
     d = len(s)
     row = np.hstack(s)
     return np.vstack([np.roll(row, r * d, axis=1) for r in range(d)])
+
+
+# The displacement for covariance tests, built by an index loop and not from the
+# library's `displacement` or `_omega_table`, so those tests read no library code
+# on the input side.
+
+
+def loop_displacement(d, a, b):
+    """D(a, b) = X^a Z^b entry by entry: |m> goes to w^{bm} |m + a>, w = exp(2 pi i / d)."""
+    out = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        out[(m + a) % d, m] = np.exp(2j * np.pi * (b * m % d) / d)
+    return out
 
 
 # Dense oracle for the outcome probabilities.  The library computes them from
