@@ -80,16 +80,16 @@ def embed(psi: np.ndarray, i: int) -> np.ndarray:
 
 
 def direct_probabilities(phi: Fiducial | np.ndarray, psi: np.ndarray) -> OutcomeDistribution:
-    """Born-rule oracle P(j,k) = |<phi_jk|psi>|^2 / d, straight from the orbit.
+    """Born-rule oracle P(j,k) = |<phi_jk|psi>|^2 / d, straight from the orbit (`wh_orbit`).
 
-    Every Naimark route must reproduce this distribution.
+    Every Naimark route must reproduce it.  It reads phi, psi and w only: no M, no FFT.
     """
     ket = as_ket(phi)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     d = ket.shape[0]
     if psi.shape[0] != d:
         raise InvalidInputError(f"state has dim {psi.shape[0]}, fiducial has dim {d}")
-    amps = wh_orbit(ket).vectors.conj() @ psi
+    amps = wh_orbit(ket).vectors @ psi.conj()  # conj(<phi_jk|psi>), the orbit left unconjugated
     return OutcomeDistribution(dim=d, probs=np.abs(amps) ** 2 / d)
 
 
@@ -157,7 +157,7 @@ def tomography_reconstruct(
             "informationally complete"
         )
     y = np.fft.ifft(_moyal(np.fft.fft2(dist.probs.reshape(d, d))) / chi, axis=1)
-    rho = y[(np.arange(d)[:, None] - np.arange(d)) % d, np.arange(d)]  # rho[m, n] = y[m - n, n]
+    rho = cyclic_shifts(y.T)[np.arange(d), -np.arange(d) % d].T  # rho[m, n] = y[m - n, n]
     rho = (rho + rho.conj().T) / 2
     eigs = np.linalg.eigvalsh(rho)
     return DensityMatrix(

@@ -65,8 +65,8 @@ def require_index(i: int, d: int) -> None:
 
 
 def _omega_table(d: int) -> np.ndarray:  # w^{kl}, indexed [k, l]
-    # Reduce exponents mod d before exponentiating; keeps phases exact-ish.
-    return np.exp(2j * np.pi * (np.outer(np.arange(d), np.arange(d)) % d) / d)
+    # Exponents reduced mod d keep phases exact-ish; only the d roots are exponentiated.
+    return np.exp(2j * np.pi * np.arange(d) / d)[np.outer(np.arange(d), np.arange(d)) % d]
 
 
 def shift_op(d: int) -> np.ndarray:
@@ -120,9 +120,9 @@ def bell_change_of_basis(d: int) -> np.ndarray:
     return _layout(fourier(d).conj().T, np.eye(d))
 
 
-def _blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (d, d, d) stack of blocks a|q><q|b, S[q, s, u] = a[s, q] b[q, u]."""
-    return a.T[:, :, None] * b[:, None, :]
+def _blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Blocks a|q><q|b, S[q, s, u] = a[s, q] b[q, u]: a product in C order as (s, q, u), viewed."""
+    return np.multiply(a[:, :, None], b, out=out).transpose(1, 0, 2)
 
 
 def _circulant(s: np.ndarray):
@@ -139,8 +139,9 @@ def _circulant(s: np.ndarray):
 
 
 def _layout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(I x a) P (I x b) as a new complex array; P's block (r, t) is |q><q|, q = t - r mod d."""
+    """(I x a) P (I x b) as a new complex array; P's block (r, t) is |q><q|, q = t - r mod d.
+    Block row 0 is the product, written in place: no d^3 temporary (numpy skips its self-copy)."""
     out = np.empty((len(a) ** 2,) * 2, dtype=complex)
-    for index, part in _circulant(_blocks(a, b)):
+    for index, part in _circulant(_blocks(a, b, out[: len(a)].reshape((len(a),) * 3))):
         out[index] = part
     return out

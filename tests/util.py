@@ -129,6 +129,24 @@ def roll_layout(s):
     return np.vstack([np.roll(row, r * d, axis=1) for r in range(d)])
 
 
+# Gather forms of the shift rule.  The library reads every cyclic offset through
+# one strided view (`cyclic_shifts`) and exponentiates only the d roots of unity;
+# these are the d^2-element index gathers and the d^2 exponentials it once used.
+
+
+def gather_orbit(phi):
+    """Orbit rows w^{k(m-j)} phi_{m-j}, gathered through the index array ell[j, m] = m - j."""
+    d = phi.shape[0]
+    ell = (np.arange(d) - np.arange(d)[:, None]) % d
+    vecs = exp_omega_table(d)[:, ell].transpose(1, 0, 2) * phi[ell][:, None, :]
+    return vecs.reshape(d * d, d)
+
+
+def exp_omega_table(d):
+    """w^{kl} as d^2 exponentials of the exponents reduced mod d."""
+    return np.exp(2j * np.pi * (np.outer(np.arange(d), np.arange(d)) % d) / d)
+
+
 # The displacement for covariance tests, built by an index loop and not from the
 # library's `displacement` or `_omega_table`, so those tests read no library code
 # on the input side.
