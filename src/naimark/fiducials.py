@@ -157,9 +157,9 @@ def cyclic_shifts(a: np.ndarray) -> np.ndarray:
     """out[..., j, l] = a[..., (l + j) mod d], the WH shift rule's one statement: a read-only view
     of a doubled along its last axis, stepping by that axis's own stride (F order works) in j and l.
     The Born oracle shares only this with the kernel; index-loop and covariance tests pin it."""
-    twice = np.concatenate([a, a], axis=-1)
-    strides = twice.strides[:-1] + twice.strides[-1:] * 2
-    return np.lib.stride_tricks.as_strided(twice, a.shape + a.shape[-1:], strides, writeable=False)
+    pair = np.concatenate([a, a], axis=-1)
+    pair.flags.writeable = False  # the view inherits it (as_strided: same view, 3 us more per call)
+    return np.ndarray(a.shape + a.shape[-1:], pair.dtype, pair, 0, pair.strides + pair.strides[-1:])
 
 
 def _moyal(table: np.ndarray) -> np.ndarray:
