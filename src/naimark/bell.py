@@ -67,5 +67,5 @@ def fiducial_for_embedding(m: np.ndarray, i: int) -> Fiducial:
     """
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
-    require_index(i, d)
+    i = require_index(i, d)
     return Fiducial(dim=d, ket=m[i].conj(), label=f"embedding-{i}")

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMissError, InvalidDimensionError, InvalidInputError
-from .wh import DEFAULT_TOL, PHYSICAL_TOL, _omega_table, max_abs, require_normalized, require_unitary
+from .wh import DEFAULT_TOL, PHYSICAL_TOL, _omega_table, cyclic_shifts, max_abs, require_normalized
+from .wh import require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +152,6 @@ def characteristic(phi: Fiducial | np.ndarray) -> np.ndarray:
     """
     ket = as_ket(phi)
     return ket.shape[0] * np.fft.ifft(cyclic_shifts(ket).conj() * ket, axis=1)
-
-
-def cyclic_shifts(a: np.ndarray) -> np.ndarray:
-    """out[..., j, l] = a[..., (l + j) mod d], the WH shift rule's one statement: a read-only view
-    of a doubled along its last axis, stepping by that axis's own stride (F order works) in j and l.
-    The Born oracle shares only this with the kernel; index-loop and covariance tests pin it."""
-    pair = np.concatenate([a, a], axis=-1)
-    pair.flags.writeable = False  # the view inherits it (as_strided: same view, 3 us more per call)
-    return np.ndarray(a.shape + a.shape[-1:], pair.dtype, pair, 0, pair.strides + pair.strides[-1:])
 
 
 def _moyal(table: np.ndarray) -> np.ndarray:

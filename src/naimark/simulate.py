@@ -8,18 +8,10 @@ import numpy as np
 
 from .block import NaimarkExtension
 from .errors import InvalidInputError, RankDeficientFrameError
-from .fiducials import (
-    Fiducial,
-    _moyal,
-    as_ket,
-    characteristic,
-    cyclic_shifts,
-    gram_condition,
-    gram_rank,
-    gram_spectrum,
-    wh_orbit,
-)
-from .wh import CLAMP_TOL, PHYSICAL_TOL, TRACE_TOL, max_abs, require_index, require_unitary
+from .fiducials import Fiducial, _moyal, as_ket, characteristic, gram_condition, gram_rank
+from .fiducials import gram_spectrum, wh_orbit
+from .wh import CLAMP_TOL, PHYSICAL_TOL, TRACE_TOL, cyclic_shifts, max_abs, require_index
+from .wh import require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +65,7 @@ def embed(psi: np.ndarray, i: int) -> np.ndarray:
     """Place a d-vector into C^{d^2} with component t at index t*d + i."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     d = psi.shape[0]
-    require_index(i, d)
+    i = require_index(i, d)
     out = np.zeros(d * d, dtype=complex)
     out[np.arange(d) * d + i] = psi
     return out
@@ -117,15 +109,15 @@ def measure_probabilities(
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != d:
         raise InvalidInputError(f"state has dim {psi.shape[0]}, extension has d={d}")
-    require_index(i, d)
+    i = require_index(i, d)
     amps = np.fft.fft(m[i] * cyclic_shifts(psi), axis=1) / np.sqrt(d)
     return OutcomeDistribution(dim=d, probs=np.abs(amps) ** 2)
 
 
 def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per (j, k); deterministic for a fixed seed."""
-    if not 1 <= n_shots <= 2**63 - 1:  # multinomial counts in int64
-        raise InvalidInputError(f"need 1 <= shots <= 2**63 - 1, got {n_shots}")
+    if not (hasattr(type(n_shots), "__index__") and 1 <= n_shots <= 2**63 - 1):  # int64 counts
+        raise InvalidInputError(f"need 1 <= shots <= 2**63 - 1, got {n_shots!r}")
     if not (hasattr(type(seed), "__index__") and seed >= 0):  # what operator.index takes
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ Conventions used throughout the package:
 * displacement:  D(j, k) = X^j Z^k  (no extra phase prefactor, also for even d)
 * Fourier:  F = d^{-1/2} sum_{jk} w^{jk} |j><k|,  so that  X = F^dag Z F
 * pair indices (j, k) flatten to the linear index j*d + k everywhere
+* cyclic offsets, of vectors and of block rows alike, are read through one view, cyclic_shifts
 * controlled shift:  P = sum_j X^{-j} x |j><j|; U = (I x F^dag) P (I x M^T), and P,
   B = (I x F^dag) P and U are written by one layout of the blocks a|q><q|b (_layout)
 
@@ -14,6 +15,8 @@ All functions are pure and return freshly allocated arrays.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -58,10 +61,13 @@ def require_normalized(ket: np.ndarray, what: str) -> np.ndarray:
     return ket
 
 
-def require_index(i: int, d: int) -> None:
-    """Reject an embedding index outside 0 <= i < d."""
+def require_index(i: int, d: int) -> int:
+    """Return an embedding index as an int; reject a non-integer or one outside 0 <= i < d."""
+    if not hasattr(type(i), "__index__"):  # what operator.index takes
+        raise InvalidInputError(f"embedding index must be an integer, got {i!r}")
     if not 0 <= i < d:
         raise InvalidInputError(f"embedding index {i} out of range for d={d}")
+    return operator.index(i)
 
 
 def _omega_table(d: int) -> np.ndarray:  # w^{kl}, indexed [k, l]
@@ -125,23 +131,26 @@ def _blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.multiply(a[:, :, None], b, out=out).transpose(1, 0, 2)
 
 
-def _circulant(s: np.ndarray):
-    """Yield (index, part) pairs that lay out the block circulant with first block row s.
+def cyclic_shifts(a: np.ndarray) -> np.ndarray:
+    """out[..., j, l] = a[..., (l + j) mod d], the WH shift rule's one statement: a read-only view
+    of a doubled along its last axis, stepping by that axis's own stride (F order works) in j and l.
+    The Born oracle shares only this with the kernel; index-loop and covariance tests pin it."""
+    pair = np.concatenate([a, a], axis=-1)
+    pair.flags.writeable = False  # the view inherits it (as_strided: same view, 3 us more per call)
+    return np.ndarray(a.shape + a.shape[-1:], pair.dtype, pair, 0, pair.strides + pair.strides[-1:])
 
-    The layout rule, stated only here: block (r, t) is s[(t - r) mod d], so
-    block row r is block row 0 rolled r blocks right: two slice copies, u[index] = part.
-    """
-    d = len(s)
-    row = s.transpose(1, 0, 2).reshape(d, d * d)
-    for k in range(0, d * d, d):
-        yield (slice(k, k + d), slice(k, None)), row[:, : d * d - k]
-        yield (slice(k, k + d), slice(0, k)), row[:, d * d - k :]
+
+def _rolled(row: np.ndarray) -> np.ndarray:
+    """Block rows 1..d-1 of the block circulant with block row 0 `row`: its shifts by d^2 - r*d."""
+    d, n = row.shape
+    return cyclic_shifts(row)[:, n - d : 0 : -d].transpose(1, 0, 2)
 
 
 def _layout(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(I x a) P (I x b) as a new complex array; P's block (r, t) is |q><q|, q = t - r mod d.
     Block row 0 is the product, written in place: no d^3 temporary (numpy skips its self-copy)."""
-    out = np.empty((len(a) ** 2,) * 2, dtype=complex)
-    for index, part in _circulant(_blocks(a, b, out[: len(a)].reshape((len(a),) * 3))):
-        out[index] = part
+    d = len(a)
+    out = np.empty((d * d,) * 2, dtype=complex)
+    _blocks(a, b, out[:d].reshape(d, d, d))
+    out.reshape(d, d, d * d)[1:] = _rolled(out[:d])
     return out

@@ -23,7 +23,7 @@ from naimark import (
     diagonal_blocks,
 )
 from naimark.block import structure_report
-from naimark.wh import max_abs
+from naimark.wh import _layout, max_abs
 
 from util import (
     bell_product_u,
@@ -35,6 +35,7 @@ from util import (
     loop_structure_report,
     power_diagonal_blocks,
     rand_unitary,
+    roll_layout,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -94,8 +95,25 @@ def test_structure_report_matches_loop_report(m, seed, scale):
     assert got.keys() == want.keys()
     assert got["d"] == want["d"]
     assert got["unitarity"] == want["unitarity"]
-    for key in want.keys() - {"d", "unitarity"}:
+    assert got["block_circulant"] == want["block_circulant"]  # the same subtractions and maxima
+    for key in want.keys() - {"d", "unitarity", "block_circulant"}:
         assert max_abs(np.asarray(got[key]) - want[key]) < FFT_TOL, key
+
+
+@pytest.mark.parametrize("d", range(1, 25))
+def test_layout_equals_the_block_row_rolls_from_d_1(d):
+    """Block (0, t) is a[:, t] b[t], and block row r is that row rolled r*d right.  Gaussian
+    integer a, b make every product exact, so only the placement of the blocks is tested."""
+    rng = np.random.default_rng(2400 + d)
+    a, b = rng.integers(-8, 9, (2, d, d)) + 1j * rng.integers(-8, 9, (2, d, d))
+    assert np.array_equal(_layout(a, b), roll_layout([np.outer(a[:, t], b[t]) for t in range(d)]))
+
+
+@pytest.mark.parametrize("entry", [(4, 1), (8, 8), (3, 0), (5, 6)])
+def test_a_nan_in_any_block_row_past_the_first_reaches_block_circulant(entry):
+    u = build_block_naimark(catalog_m("hesse")).U
+    u[entry] = np.nan
+    assert np.isnan(structure_report(u)["block_circulant"])
 
 
 @PROPERTY

@@ -1,7 +1,7 @@
 """Admitting a fiducial from d x d data, against the orbit and loop forms.
 
 The Gram spectrum read off chi, tomography by the Moyal identity, the QR
-completion and the slice-copy layout are checked against the 2-D FFT, states
+completion and the shift-view layout are checked against the 2-D FFT, states
 built as orbit frame sums, the Gram-Schmidt loop and the block-row rolls in
 util.py.  The rank rule is checked on kets whose chi has exact zeros and on
 a fiducial whose chi has one entry of 1e-7.  Guards show that tomography reads

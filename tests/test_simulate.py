@@ -206,6 +206,7 @@ class TestSampling:
         with pytest.raises(InvalidInputError, match=r"shots <= 2\*\*63 - 1, got 9223372036854775808"):
             sample(dist, 2**63, seed=1)
         assert sample(dist, 2**63 - 1, seed=1).sum() == 2**63 - 1
+        assert np.array_equal(sample(dist, np.int64(2), 1), sample(dist, 2, 1))
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_validated(self, seed):
@@ -217,6 +218,35 @@ class TestSampling:
     def test_numpy_integer_seed_is_the_same_seed(self):
         dist = OutcomeDistribution(2, np.full(4, 0.25))
         assert np.array_equal(sample(dist, 1000, np.int64(7)), sample(dist, 1000, 7))
+
+    @pytest.mark.parametrize("shots", [2.5, 2.0, "2"])
+    def test_non_integer_shots_rejected(self, shots):
+        # numpy's multinomial would draw int(2.5) = 2 shots.
+        dist = OutcomeDistribution(2, np.full(4, 0.25))
+        with pytest.raises(InvalidInputError, match=f"shots <= 2\\*\\*63 - 1, got {shots!r}"):
+            sample(dist, shots, seed=1)
+
+
+# The three callers that take an embedding index, on the Hesse completion matrix.
+INDEXED = {
+    "measure_probabilities": lambda m, i: measure_probabilities(m, np.eye(3)[1], i).probs,
+    "embed": lambda m, i: embed(m[2], i),
+    "fiducial_for_embedding": lambda m, i: fiducial_for_embedding(m, i).ket,
+}
+
+
+@pytest.mark.parametrize("caller", INDEXED)
+@pytest.mark.parametrize("index", [1.5, 1.0, "1", np.float64(2.0), None])
+def test_a_non_integer_embedding_index_is_invalid_input(caller, index):
+    with pytest.raises(InvalidInputError, match="embedding index must be an integer"):
+        INDEXED[caller](catalog_m("hesse"), index)
+
+
+@pytest.mark.parametrize("caller", INDEXED)
+def test_a_numpy_integer_embedding_index_is_that_index(caller):
+    m = catalog_m("hesse")
+    assert np.array_equal(INDEXED[caller](m, np.int64(1)), INDEXED[caller](m, 1))
+    assert fiducial_for_embedding(m, np.int64(1)).label == "embedding-1"
 
 
 class TestTomography:

@@ -4,19 +4,24 @@ D(a,b)^dag D(j,k) is a phase times D(j-a, k-b).  So displacing the input state
 rolls the outcome law by (a, b), from the kernel and from the Born oracle alike, and
 tomography of the rolled law must be the displaced reconstruction; displacing the
 fiducial only multiplies chi by phases, so the frame Gram's spectrum and rank, the
-SIC deviation and the IC verdict must not move.  Each test runs every
+SIC deviation and the IC verdict must not move.  The qubit gate circuit's law
+rolls with a displaced state as the kernel's does.  Each test runs every
 (a, b) for its d.  The displacement is the index loop `loop_displacement` in
 util.py, not the library's.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naimark import (
     OutcomeDistribution,
+    apply_circuit,
     complete_unitary,
     direct_probabilities,
+    embed,
+    full_naimark_circuit,
     is_informationally_complete,
     measure_probabilities,
     sic_report,
@@ -25,7 +30,7 @@ from naimark import (
 from naimark.fiducials import characteristic, gram_rank, gram_spectrum
 from naimark.wh import max_abs
 
-from util import loop_displacement, rand_ket
+from util import loop_displacement, rand_ket, rand_unitary
 
 EPS = np.finfo(float).eps
 COVARIANCE = settings(max_examples=20, deadline=None, derandomize=True)
@@ -102,3 +107,22 @@ def test_sic_report_and_ic_verdict_ignore_a_displaced_fiducial(d, seed):
             assert (got.is_ic, got.gram_rank) == (ic.is_ic, ic.gram_rank)
             assert got.witness_index == ic.witness_index
             assert max_abs(got.overlaps - ic.overlaps) <= 2 * chi_rounding(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@COVARIANCE
+@given(seeds)
+def test_circuit_law_rolls_with_a_displaced_state(n, seed):
+    """|apply_circuit(full_naimark_circuit(m, n), embed(D(a,b) psi, 0))|^2 is the law of psi
+    rolled by (a, b).  Each circuit law is within 1e-12 of the Born law (the bound of
+    test_circuit_route_matches_born_oracle), which rolls to within 2 tau(d)."""
+    d = 2**n
+    rng = np.random.default_rng(seed)
+    m, psi = rand_unitary(d, rng), rand_ket(d, rng)
+    moved = [loop_displacement(d, a, b) @ psi for a in range(d) for b in range(d)]
+    states = np.stack([embed(v, 0) for v in [psi, *moved]], axis=1)
+    laws = np.abs(apply_circuit(full_naimark_circuit(m, n), states)) ** 2
+    base = laws[:, 0].reshape(d, d)
+    for col, (a, b) in enumerate(np.ndindex(d, d), start=1):
+        got = laws[:, col].reshape(d, d)
+        assert max_abs(got - np.roll(base, (a, b), axis=(0, 1))) <= 2e-12 + 2 * chi_rounding(d)

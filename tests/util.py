@@ -88,7 +88,7 @@ def dense_tomography(phi, probs, gram=None):
 
 # Orbit and loop forms of admitting a fiducial.  The library reads the Gram
 # spectrum off chi by the Moyal re-index, inverts the frame by dividing fft2(p)
-# by chi, completes M by one QR and lays U out by slice copies; these are the
+# by chi, completes M by one QR and lays U out through one shift view; these are the
 # 2-D FFT, the orbit product (which makes states with known frame coefficients),
 # the Gram-Schmidt loop and the block-row rolls it once used.
 
@@ -129,9 +129,11 @@ def roll_layout(s):
     return np.vstack([np.roll(row, r * d, axis=1) for r in range(d)])
 
 
-# Gather forms of the shift rule.  The library reads every cyclic offset through
-# one strided view (`cyclic_shifts`) and exponentiates only the d roots of unity;
-# these are the d^2-element index gathers and the d^2 exponentials it once used.
+# Gather forms of the shift rule.  The library reads every cyclic offset, of vectors
+# and of U's block rows, through one strided view (`wh.cyclic_shifts`) and exponentiates
+# only the d roots of unity; these are the d^2-element index gathers and the d^2
+# exponentials it once used.  The layout's oracles, `roll_layout` and `loop_layout`,
+# use np.roll and index loops and read no library shift code.
 
 
 def gather_orbit(phi):
@@ -214,8 +216,8 @@ def bell_product_u(m):
     return shift_decomposition(d) @ np.kron(np.eye(d), m.T)
 
 
-# Loop oracles for the block layer.  The library lays U out with one
-# block-row roll and block-diagonalizes it with one FFT over the block index;
+# Loop oracles for the block layer.  The library lays U out through one
+# shift view of block row 0 and block-diagonalizes it with one FFT over the block index;
 # these are the index loops, matrix powers and Kronecker products it once used.
 
 
