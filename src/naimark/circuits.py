@@ -76,8 +76,8 @@ class Gate:
             elif k is not None:
                 raise InvalidCircuitError(f"{self.kind} takes no k parameter")
         elif self.kind == "U":
-            if self.matrix is None:
-                raise InvalidCircuitError("U gates need an explicit matrix")
+            if self.matrix is None or not wires:
+                raise InvalidCircuitError("U gates need an explicit matrix and at least one wire")
             mat = np.asarray(self.matrix, dtype=complex)
             dim = 2 ** len(wires)
             if mat.shape != (dim, dim):

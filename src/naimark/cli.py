@@ -263,8 +263,8 @@ def cmd_catalog(args) -> int:
         {
             "label": e.label,
             "d": len(e.ket),
-            "re": e.ket.real.tolist(),
-            "im": e.ket.imag.tolist(),
+            "re": e.ket.real,
+            "im": e.ket.imag,
             "sic_deviation": sic_report(e.ket),
         }
         for e in CATALOG.values()
@@ -342,7 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow and NaN reach the guards (written `not (x <= tol)`) and _emit, which
+        # refuse them; numpy's warnings about them would break the one `error:` line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,11 +17,13 @@ carry "k" and an optional "dagger" flag for conjugated phases, and opaque "U"
 gates carry their matrix as "re"/"im" arrays.  Nothing reads them back.
 
 Command output is written by `dumps`, whose text is, byte for byte, what
-Python's json module writes with indent 2 and NaN/Inf refused.  A list of floats,
-or a rectangular list of float rows, is formatted in bulk: each distinct bit
+Python's json module writes with indent 2 and NaN/Inf refused, reading a float
+array as its `tolist()`.  The producers here put float64 arrays, not lists, into
+their objects.  A 1-d or 2-d float64 array is written in bulk: each distinct bit
 pattern is formatted once by `float.__repr__` and the rows are gathered from
 those strings.  That pays because U is block circulant: every block row is the
-first one rolled, so its d**4 entries hold at most d**3 distinct values.
+first one rolled, so its d**4 entries hold at most d**3 distinct values.  Lists
+and tuples are written item by item.
 """
 
 from __future__ import annotations
@@ -73,13 +75,14 @@ def _write(o, level: int, out: list[str]) -> None:
         if not o:
             out.append("[]")
             return
-        if not _write_floats(o, inner, out):
-            sep = "[" + inner
-            for v in o:
-                out.append(sep)
-                _write(v, level + 1, out)
-                sep = "," + inner
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, level + 1, out)
+            sep = "," + inner
         out.append(indent + "]")
+    elif isinstance(o, np.ndarray):
+        _write_array(o, indent, out)
     elif type(o) is int:  # what json writes for an int, without its encoder's 1 us per call
         out.append(int.__repr__(o))
     else:
@@ -94,38 +97,28 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _write_floats(o, inner: str, out: list[str]) -> bool:
-    """Append the text of o, less its closing bracket, if o is a list of floats or
-    a rectangular list of float rows; inner is the newline and indent of its items."""
-    if set(map(type, o)) == {float}:
-        out.append("[" + inner + ("," + inner).join(_float_reprs(o)))
-        return True
-    width = len(o[0]) if type(o[0]) is list else 0
-    if not (width and set(map(type, o)) == {list} and set(map(len, o)) == {width}):
-        return False
-    flat = list(chain.from_iterable(o))
-    if set(map(type, flat)) != {float}:
-        return False
-    reprs = _float_reprs(flat)
-    row_inner = inner + "  "
-    sep = "[" + inner
-    for start in range(0, len(reprs), width):
-        row = ("," + row_inner).join(reprs[start : start + width])
-        out.append(f"{sep}[{row_inner}{row}{inner}]")
-        sep = "," + inner
-    return True
-
-
-def _float_reprs(values: list) -> list[str]:
-    """float.__repr__ of each value, called once per distinct bit pattern (so -0.0 and
-    0.0 stay apart)."""
-    a = np.array(values, dtype=np.float64)
+def _write_array(a: np.ndarray, indent: str, out: list[str]) -> None:
+    """Append the text of a.tolist() for a 1-d or 2-d float64 array a; indent is the
+    newline and indent of its closing bracket.  float.__repr__ is called once per
+    distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    if a.dtype != np.float64 or a.ndim not in (1, 2):
+        raise TypeError(f"Object of type ndarray ({a.ndim}-d {a.dtype}) is not JSON serializable")
     finite = np.isfinite(a)
     if not finite.all():
-        _SCALAR.encode(values[int(np.argmin(finite))])  # raises json's ValueError
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+        _SCALAR.encode(float(a[~finite][0]))  # raises json's ValueError
+    bits, inverse = np.unique(a.ravel().view(np.int64), return_inverse=True)
     reprs = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return reprs[inverse].tolist()
+    texts = reprs[inverse].reshape(a.shape).tolist()
+    if a.ndim == 2:
+        texts = ["".join(_bracket(row, indent + "  ")) for row in texts]
+    out += _bracket(texts, indent)
+
+
+def _bracket(items: list[str], indent: str) -> tuple[str, ...]:
+    """The text, in pieces, of a list whose items have the texts given; indent is the
+    newline and indent of its closing bracket."""
+    inner = indent + "  "
+    return ("[", inner, ("," + inner).join(items), indent, "]") if items else ("[]",)
 
 
 def matrix_to_obj(a: np.ndarray, d: int) -> dict:
@@ -136,8 +129,8 @@ def matrix_to_obj(a: np.ndarray, d: int) -> dict:
         "d": int(d),
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
+        "re": a.real,
+        "im": a.imag,
     }
 
 
@@ -195,8 +188,8 @@ def gate_to_obj(g: Gate) -> dict:
     if g.dagger:
         out["dagger"] = True
     if g.kind == "U":
-        out["re"] = g.matrix.real.tolist()
-        out["im"] = g.matrix.imag.tolist()
+        out["re"] = g.matrix.real
+        out["im"] = g.matrix.imag
     return out
 
 
@@ -206,4 +199,4 @@ def gatelist_to_obj(circuit: GateList) -> dict:
 
 def distribution_to_obj(d: int, probs: np.ndarray) -> dict:
     """Flat probability array indexed by j*d + k."""
-    return {"d": int(d), "index": "j*d+k", "probs": np.asarray(probs, dtype=float).tolist()}
+    return {"d": int(d), "index": "j*d+k", "probs": np.asarray(probs, dtype=float)}

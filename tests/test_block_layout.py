@@ -116,6 +116,19 @@ def test_a_nan_in_any_block_row_past_the_first_reaches_block_circulant(entry):
     assert np.isnan(structure_report(u)["block_circulant"])
 
 
+@pytest.mark.parametrize("entry", [(1, 2), (4, 1)], ids=["block-row-0", "block-row-1"])
+def test_a_nan_entry_reaches_the_same_fields_as_in_the_loop_oracle(entry):
+    m = catalog_m("hesse")
+    u = build_block_naimark(m).U
+    u[entry] = np.nan
+    got, want = structure_report(u, m), loop_structure_report(u, m)
+    assert got.keys() == want.keys()
+    for key in want.keys() - {"d"}:
+        nan = np.isnan(want[key])
+        assert np.array_equal(np.isnan(got[key]), nan), key
+        assert max_abs(np.where(nan, 0.0, np.asarray(got[key]) - want[key])) < FFT_TOL, key
+
+
 @PROPERTY
 @given(unitaries())
 def test_block_bell_and_clock_routes_agree(m):

@@ -230,6 +230,7 @@ class TestFullNaimarkCircuit:
     [
         (lambda: Gate("H", (0,), k=1), InvalidCircuitError, "H takes no k parameter"),
         (lambda: Gate("U", (0,)), InvalidCircuitError, "U gates need an explicit matrix"),
+        (lambda: Gate("U", (), matrix=[[1j]]), InvalidCircuitError, "at least one wire"),
         (lambda: Gate("H", (0,)).phase, InvalidCircuitError, "H gates carry no phase"),
         (lambda: GateList(0, ()), InvalidCircuitError, "need at least one qubit, got 0"),
         (lambda: GateList(1.5, (Gate("H", (0,)),)), InvalidCircuitError,
@@ -242,8 +243,8 @@ class TestFullNaimarkCircuit:
         (lambda: full_naimark_circuit(catalog_m("hesse"), 1), InvalidInputError,
          "completion matrix is 3x3; qubit synthesis needs d = 2**n = 2"),
     ],
-    ids=["k-on-H", "U-without-matrix", "phase-of-H", "no-qubits", "float-qubits", "str-qubits",
-         "z-n0", "qcz-targets", "cz-n0", "fourier-n0", "naimark-m-not-2n"],
+    ids=["k-on-H", "U-without-matrix", "U-on-no-wires", "phase-of-H", "no-qubits", "float-qubits",
+         "str-qubits", "z-n0", "qcz-targets", "cz-n0", "fourier-n0", "naimark-m-not-2n"],
 )
 def test_circuit_guards(build, error, fragment):
     with pytest.raises(error) as info:

@@ -490,7 +490,7 @@ def run_cli(*argv):
 
 
 def nan_matrix_file(tmp_path, a, d):
-    obj = matrix_to_obj(a, d)
+    obj = json.loads(dumps(matrix_to_obj(a, d)))
     obj["re"][0][0] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(obj))  # writes a bare NaN token, as Python's json allows
@@ -519,6 +519,24 @@ def test_overflowing_residuals_exit_2_without_infinity_output(tmp_path):
     assert proc.returncode == 2
     assert "Infinity" not in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--u", "{u}"], ["circuit", "naimark", "--n", "1", "--m", "{m}"],
+     ["build", "--ket", "[1e308,1e308]"],
+     ["simulate", "--catalog", "qubit-sic", "--state", "[1e308,1e308]"]],
+    ids=["verify", "circuit-naimark", "build", "simulate"],
+)
+def test_overflow_exits_2_with_one_error_line(tmp_path, argv):
+    """numpy's overflow and invalid-value warnings do not reach stderr."""
+    u, m = tmp_path / "u.json", tmp_path / "m.json"
+    u.write_text(dumps(matrix_to_obj(1e200 * expected_qubit_u(), 2)))
+    m.write_text(dumps(matrix_to_obj(1e200 * catalog_m("qubit"), 2)))
+    proc = run_cli(*(arg.format(u=u, m=m) for arg in argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

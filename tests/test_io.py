@@ -34,7 +34,7 @@ def test_matrix_round_trip_bit_identical(tmp_path):
 def test_obj_round_trip_through_json_text():
     rng = np.random.default_rng(18)
     a = rand_unitary(4, rng)
-    text = json.dumps(matrix_to_obj(a, 2))
+    text = dumps(matrix_to_obj(a, 2))
     b, d = obj_to_matrix(json.loads(text))
     assert d == 2
     assert np.array_equal(a, b)
@@ -69,7 +69,7 @@ def test_malformed_matrix_objects_rejected():
 def test_load_matrix_unwraps_build_bundles(tmp_path):
     inner = matrix_to_obj(np.eye(2), 2)
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps({"A": inner, "other": 1}))
+    path.write_text(dumps({"A": inner, "other": 1}))
     [(a, d)] = load_matrices(str(path), "A")
     assert np.array_equal(a, np.eye(2))
 
@@ -90,7 +90,7 @@ def test_gatelist_round_trip():
             Gate("U", (0, 1), matrix=rand_unitary(4, rng)),
         ),
     )
-    obj = json.loads(json.dumps(gatelist_to_obj(circ)))
+    obj = json.loads(dumps(gatelist_to_obj(circ)))
     assert obj["n_qubits"] == 2
     assert [g["kind"] for g in obj["gates"]] == ["H", "CR", "SWAP", "U"]
     assert obj["gates"][1] == {"kind": "CR", "wires": [1, 0], "k": 2, "dagger": True}
@@ -114,7 +114,7 @@ def test_distribution_objects():
     probs = np.array([0.5, 0.25, 0.25, 0.0])
     obj = distribution_to_obj(2, probs)
     assert obj["index"] == "j*d+k"
-    assert obj["probs"] == [0.5, 0.25, 0.25, 0.0]
+    assert obj["probs"].tolist() == [0.5, 0.25, 0.25, 0.0]
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -148,7 +148,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path_factory, data, rows, cols, d
 def test_load_matrix_key_selects_bundle_entry(tmp_path):
     u, m = np.eye(4), np.array([[0, 1], [1, 0]], dtype=complex)
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps({"M": matrix_to_obj(m, 2), "U": matrix_to_obj(u, 2)}))
+    path.write_text(dumps({"M": matrix_to_obj(m, 2), "U": matrix_to_obj(u, 2)}))
     assert np.array_equal(load_matrices(str(path), "M")[0][0], m)
     assert np.array_equal(load_matrices(str(path), "U")[0][0], u)
     (u2, d_u), (m2, d_m) = load_matrices(str(path), "U", "M")
@@ -171,7 +171,7 @@ def test_plain_matrix_file_loads_under_any_key(tmp_path, key):
 def test_an_m_must_be_d_by_d_for_its_file_d(tmp_path, shape, bundle):
     obj = matrix_to_obj(np.ones(shape), 2)
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"M": obj, "U": matrix_to_obj(np.eye(4), 2)} if bundle else obj))
+    path.write_text(dumps({"M": obj, "U": matrix_to_obj(np.eye(4), 2)} if bundle else obj))
     want = f"file says d=2 but M is {shape[0]}x{shape[1]}"
     with pytest.raises(ParseError, match=want):
         load_matrices(str(path), "M")
@@ -186,7 +186,7 @@ def test_an_m_must_be_d_by_d_for_its_file_d(tmp_path, shape, bundle):
 def test_a_u_must_be_d_squared_for_its_file_d(tmp_path, shape, d, bundle):
     obj = matrix_to_obj(np.ones(shape), d)
     path = tmp_path / "u.json"
-    path.write_text(json.dumps({"U": obj, "M": matrix_to_obj(np.eye(2), 2)} if bundle else obj))
+    path.write_text(dumps({"U": obj, "M": matrix_to_obj(np.eye(2), 2)} if bundle else obj))
     with pytest.raises(ParseError, match=f"file says d={d} but U is {shape[0]}x{shape[1]}"):
         load_matrices(str(path), "U")
     if bundle:  # with a good M beside it
@@ -197,7 +197,7 @@ def test_a_u_must_be_d_squared_for_its_file_d(tmp_path, shape, d, bundle):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("part", ["re", "im"])
 def test_non_finite_matrix_entries_rejected(tmp_path, bad, part):
-    obj = matrix_to_obj(np.eye(2), 2)
+    obj = json.loads(dumps(matrix_to_obj(np.eye(2), 2)))  # JSON types, as a file gives them
     obj[part][1][0] = bad
     with pytest.raises(ParseError, match="non-finite"):
         obj_to_matrix(obj)

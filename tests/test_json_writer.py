@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from naimark import catalog_m
 from naimark.cli import _emit, main
@@ -94,8 +95,49 @@ def test_non_finite_anywhere_raises_value_error(rows, bad, pos, where):
         dumps(obj)
 
 
+def array_oracle(obj) -> str:
+    """The oracle, reading a float array as its tolist()."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=np.ndarray.tolist)
+
+
+def values_with_arrays(cells):
+    """float64 arrays of shape (r,) or (r, c), r, c in [0, 6], nested in dicts and lists
+    beside other values."""
+    shapes = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+    return st.recursive(
+        arrays(np.float64, shapes, elements=cells),
+        lambda children: st.lists(children | scalars, max_size=4)
+        | st.dictionaries(keys, children | scalars, max_size=4),
+        max_leaves=8,
+    )
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values_with_arrays(signed_zeros | finite_floats))
+def test_float_arrays_are_written_as_json_writes_their_lists(obj):
+    assert dumps(obj) == array_oracle(obj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values_with_arrays(signed_zeros | finite_floats | non_finite))
+def test_a_non_finite_array_entry_raises_value_error(obj):
+    try:
+        expected = array_oracle(obj)
+    except ValueError:
+        with pytest.raises(ValueError):
+            dumps(obj)
+    else:
+        assert dumps(obj) == expected
+
+
 @pytest.mark.parametrize(
-    "obj", [{(1, 2): 0}, {"a": np.int64(3)}, [1.0, {1, 2}], [[1.0], [object()]], np.zeros(2)]
+    "obj",
+    [{(1, 2): 0}, {"a": np.int64(3)}, [1.0, {1, 2}], [[1.0], [object()]],
+     np.zeros(2, dtype=int), {"a": np.zeros(2, dtype=complex)}, [np.zeros(())],
+     np.zeros((2, 2, 2))],
 )
 def test_unsupported_types_and_keys_raise_type_error(obj):
     with pytest.raises(TypeError):
@@ -117,6 +159,7 @@ def test_block_circulant_u_is_written_as_json_writes_it():
     u = np.roll(np.kron(np.eye(4), catalog_m("ququart")), 3, axis=1)
     obj = {"re": u.real.tolist(), "im": u.imag.tolist()}
     assert dumps(obj) == oracle(obj)
+    assert dumps({"re": u.real, "im": u.imag}) == oracle(obj)  # strided views of u, in bulk
 
 
 def cli_outputs(tmp_path, capsys):

@@ -269,31 +269,33 @@ def loop_block_constraints(blocks):
         acc = np.zeros((n, n), dtype=complex)
         for j in range(d):
             acc += blocks[j].conj().T @ blocks[(j + k) % d]
-        worst = max(worst, max_abs(acc - (np.eye(n) if k == 0 else 0)))
-    return worst
+        worst = np.maximum(worst, max_abs(acc - (np.eye(n) if k == 0 else 0)))  # max() drops a NaN
+    return float(worst)
 
 
 def loop_structure_report(u, m=None):
-    """Every structure_report field, block by block."""
+    """Every structure_report field, block by block.  Its maxima, like the library's, keep
+    a NaN, which Python's max() would drop."""
     s = first_block_row(u)
     d = len(s)
     circ = 0.0
     for r in range(d):
         for t in range(d):
-            circ = max(circ, max_abs(u[r * d : (r + 1) * d, t * d : (t + 1) * d] - s[(t - r) % d]))
+            block = u[r * d : (r + 1) * d, t * d : (t + 1) * d]
+            circ = np.maximum(circ, max_abs(block - s[(t - r) % d]))
     f_dag = fourier(d).conj().T
     m_rec = np.zeros((d, d), dtype=complex)
     rank_one = 0.0
     for q in range(d):
         f_col = f_dag[:, q]
         m_row = f_col.conj() @ s[q]
-        rank_one = max(rank_one, max_abs(s[q] - np.outer(f_col, m_row)))
+        rank_one = np.maximum(rank_one, max_abs(s[q] - np.outer(f_col, m_row)))
         m_rec[:, q] = m_row
     report = {
         "d": d,
         "unitarity": unitarity_residual(u),
-        "block_circulant": circ,
-        "block_rank_one": rank_one,
+        "block_circulant": float(circ),
+        "block_rank_one": float(rank_one),
         "recovered_m": m_rec,
         "recovered_m_unitarity": unitarity_residual(m_rec),
         "block_constraints": loop_block_constraints(s),
