@@ -3,7 +3,7 @@
 The package constructs the d^2 x d^2 interaction unitary for any rank-one
 WH covariant POVM from a single d x d completion matrix.  The block and Bell names
 share one writer, the block-circulant layout of U = (I x F^dag) P (I x M^T), P the
-controlled shift; the controlled-clock dual is the independent cross-check.  It
+controlled shift; the controlled-clock dual is a test oracle, not a library route.  It
 decomposes U into qubit gates when d = 2**n, and simulates and verifies the
 resulting measurements against direct Born-rule oracles.
 """
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .bell import (
     build_bell_naimark,
-    clock_decomposition,
     fiducial_for_embedding,
 )
 from .block import (
@@ -99,7 +98,6 @@ __all__ = [
     "build_block_naimark",
     "builtin_fiducial",
     "catalog_m",
-    "clock_decomposition",
     "clock_op",
     "complete_unitary",
     "compound_sic_report",

@@ -244,8 +244,7 @@ def qudit_z_circuit(n: int) -> GateList:
     Wire q_j contributes exp(2*pi*i / 2**(j+1)) on its |1> state; summed over
     the binary expansion this is w**m on |m>.
     """
-    if n < 1:
-        raise InvalidCircuitError(f"need n >= 1 qubits, got {n}")
+    n = wh._require_int(n, 1, "need n >= 1 qubits", InvalidCircuitError)
     # R(j+1) on wire q_j; factors commute, emitted in application order of the
     # right-to-left product.
     return GateList(n, tuple(Gate("R", (j,), k=j + 1) for j in reversed(range(n))))
@@ -270,8 +269,7 @@ def cz_qudit_circuit(n: int) -> GateList:
     conditioned on it is repeated 2**(n-1-j) times; repetition, not angle
     doubling, realizes the integer powers.
     """
-    if n < 1:
-        raise InvalidCircuitError(f"need n >= 1 qubits per register, got {n}")
+    n = wh._require_int(n, 1, "need n >= 1 qubits per register", InvalidCircuitError)
     targets = list(range(n))
     gates: list[Gate] = []
     for j in range(n):
@@ -285,8 +283,7 @@ def cz_qudit_circuit(n: int) -> GateList:
 def qudit_fourier_circuit(n: int, wire_offset: int = 0, n_qubits: int | None = None) -> GateList:
     """Fourier transform on a 2**n-level qudit: the H / CR(k) ladder plus the
     wire-reversing SWAPs."""
-    if n < 1:
-        raise InvalidCircuitError(f"need n >= 1 qubits, got {n}")
+    n = wh._require_int(n, 1, "need n >= 1 qubits", InvalidCircuitError)
     gates: list[Gate] = []
     for i in range(n):
         gates.append(Gate("H", (wire_offset + i,)))
@@ -328,6 +325,7 @@ def full_naimark_circuit(m: np.ndarray, n: int) -> GateList:
     opaque gate on the ancilla, followed by the gates of bell_rotation_circuit(n),
     which are shared by every circuit of that n.
     """
+    n = wh._require_int(n, 1, "need n >= 1 qubits", InvalidCircuitError)
     d = 2**n
     m = np.asarray(m, dtype=complex)
     if m.shape != (d, d):

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bell import build_bell_naimark, controlled_clock, controlled_shift, fiducial_for_embedding
+from .bell import controlled_clock, controlled_shift, fiducial_for_embedding
 from .block import build_block_naimark, complete_unitary, structure_report
 from .circuits import (
     bell_rotation_circuit,
@@ -29,7 +29,6 @@ from .errors import InvalidInputError, NaimarkError, NumericalFailureError, Pars
 from .fiducials import (
     CATALOG,
     Fiducial,
-    builtin_fiducial,
     is_informationally_complete,
     sic_report,
     compound_sic_report,
@@ -114,7 +113,7 @@ def _resolve_fiducial(args) -> tuple[Fiducial, np.ndarray, str]:
         if entry is None:
             known = ", ".join(sorted(CATALOG))
             raise InvalidInputError(f"unknown catalog label {args.catalog!r}; known: {known}")
-        fid = builtin_fiducial(len(entry.ket), entry.label)
+        fid = Fiducial(dim=len(entry.ket), ket=entry.ket.copy(), label=entry.label)
         if entry.m is not None:
             return fid, entry.m.copy(), entry.m_label
     else:
@@ -247,7 +246,7 @@ def cmd_circuit(args) -> int:
     rc = 0
     if args.expand:
         mat = expand(circ)
-        closed_form = build_bell_naimark(m).U if m is not None else _CIRCUITS[args.target][1](d)
+        closed_form = build_block_naimark(m).U if m is not None else _CIRCUITS[args.target][1](d)
         residual = max_abs(mat - closed_form)
         out["expanded"] = matrix_to_obj(mat, d)
         out["closed_form_residual"] = residual

@@ -10,8 +10,8 @@ from .block import NaimarkExtension
 from .errors import InvalidInputError, RankDeficientFrameError
 from .fiducials import Fiducial, _moyal, as_ket, characteristic, gram_condition, gram_rank
 from .fiducials import gram_spectrum, wh_orbit
-from .wh import CLAMP_TOL, PHYSICAL_TOL, TRACE_TOL, cyclic_shifts, max_abs, require_index
-from .wh import require_unitary
+from .wh import CLAMP_TOL, PHYSICAL_TOL, TRACE_TOL, _require_int, cyclic_shifts, max_abs
+from .wh import require_index, require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,6 +22,7 @@ class OutcomeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _require_int(self.dim, 1, "need dim >= 1", InvalidInputError))
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.shape[0] != self.dim**2:
             raise InvalidInputError(f"expected {self.dim ** 2} probabilities, got {p.shape[0]}")

@@ -16,6 +16,7 @@ All functions are pure and return freshly allocated arrays.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -70,6 +71,17 @@ def require_index(i: int, d: int) -> int:
     return operator.index(i)
 
 
+def _require_int(x, least: int | float, what: str, error: type = InvalidDimensionError) -> int:
+    """operator.index(x), which refuses floats and strings, if it is >= least; else
+    error(f"{what}, got {x!r}"), `what` stating the bound."""
+    try:
+        if operator.index(x) >= least:
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise error(f"{what}, got {x!r}")
+
+
 def _omega_table(d: int) -> np.ndarray:  # w^{kl}, indexed [k, l]
     # Exponents reduced mod d keep phases exact-ish; only the d roots are exponentiated.
     return np.exp(2j * np.pi * np.arange(d) / d)[np.outer(np.arange(d), np.arange(d)) % d]
@@ -90,9 +102,8 @@ def displacement(d: int, j: int, k: int) -> np.ndarray:
 
     Closed form: D(j, k)|l> = w^{kl} |l+j>, i.e. entry (l+j mod d, l) is w^{kl}.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"displacement needs d >= 2, got {d}")
-    j, k = j % d, k % d
+    d = _require_int(d, 2, "displacement needs d >= 2")
+    j, k = (_require_int(x, -math.inf, "displacement needs integer j and k") % d for x in (j, k))
     ell = np.arange(d)
     out = np.zeros((d, d), dtype=complex)
     out[(ell + j) % d, ell] = _omega_table(d)[k]
@@ -101,8 +112,7 @@ def displacement(d: int, j: int, k: int) -> np.ndarray:
 
 def fourier(d: int) -> np.ndarray:
     """Discrete Fourier matrix F with entries w^{jk} / sqrt(d)."""
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
+    d = _require_int(d, 1, "dimension must be >= 1")
     return _omega_table(d) / np.sqrt(d)
 
 
@@ -121,8 +131,7 @@ def bell_change_of_basis(d: int) -> np.ndarray:
     matrix sends |D(j,k)> to |j,k>: its entry at column (j+l mod d)*d + l is
     w^{-kl} / sqrt(d), and every other entry is zero: B = (I x F^dag) P = _layout(F^dag, I).
     """
-    if d < 2:
-        raise InvalidDimensionError(f"Bell change of basis needs d >= 2, got {d}")
+    d = _require_int(d, 2, "Bell change of basis needs d >= 2")
     return _layout(fourier(d).conj().T, np.eye(d))
 
 

@@ -20,7 +20,6 @@ from naimark import (
     build_block_naimark,
     builtin_fiducial,
     catalog_m,
-    clock_decomposition,
     clock_op,
     complete_unitary,
     compound_sic_report,
@@ -45,6 +44,7 @@ from naimark import (
 from naimark.wh import max_abs
 
 from util import (
+    clock_decomposition,
     expected_hesse_u,
     expected_qubit_diag_blocks,
     expected_qubit_u,

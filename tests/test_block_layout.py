@@ -19,7 +19,6 @@ from naimark import (
     build_bell_naimark,
     build_block_naimark,
     catalog_m,
-    clock_decomposition,
     diagonal_blocks,
 )
 from naimark.block import structure_report
@@ -27,6 +26,7 @@ from naimark.wh import _layout, max_abs
 
 from util import (
     bell_product_u,
+    clock_decomposition,
     closed_form_u,
     first_block_row,
     loop_block_constraints,

@@ -13,7 +13,7 @@ import pytest
 from naimark import (
     OutcomeDistribution,
     bell_change_of_basis,
-    build_bell_naimark,
+    build_block_naimark,
     catalog_m,
     sic_report,
 )
@@ -368,8 +368,8 @@ def test_circuit_expand_exits_1_when_the_closed_form_disagrees(
         path = tmp_path / "m.json"
         path.write_text(dumps(matrix_to_obj(catalog_m("ququart"), 4)))
         argv += ["--m", str(path)]
-        closed_form = build_bell_naimark(catalog_m("ququart")).U
-        monkeypatch.setattr(cli, "build_bell_naimark", lambda m: build_bell_naimark(-m))
+        closed_form = build_block_naimark(catalog_m("ququart")).U
+        monkeypatch.setattr(cli, "build_block_naimark", lambda m: build_block_naimark(-m))
     else:
         build, dense = cli._CIRCUITS[target]
         closed_form = dense(4)
@@ -639,8 +639,7 @@ def test_simulate_never_builds_the_unitary(capsys, monkeypatch, tmp_path, d):
 
     for module in (cli, block):
         monkeypatch.setattr(module, "build_block_naimark", boom)
-    for module in (cli, bell):
-        monkeypatch.setattr(module, "build_bell_naimark", boom)
+    monkeypatch.setattr(bell, "build_bell_naimark", boom)
     rng = np.random.default_rng(d)
     ket, state = (rand_ket(d, rng) for _ in range(2))
     rc, out, err = run(capsys, "simulate", "--ket-file", ket_file(tmp_path / "ket.json", ket),
@@ -744,7 +743,7 @@ def test_circuit_without_expand_builds_no_closed_form(capsys, monkeypatch, tmp_p
     def boom(*_):
         raise AssertionError("built a dense closed form without --expand")
 
-    for name in ("controlled_clock", "controlled_shift", "build_bell_naimark"):
+    for name in ("controlled_clock", "controlled_shift", "build_block_naimark"):
         monkeypatch.setattr(cli, name, boom)
     for target, (build, _) in cli._CIRCUITS.items():
         monkeypatch.setitem(cli._CIRCUITS, target, (build, boom))

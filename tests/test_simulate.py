@@ -163,6 +163,15 @@ class TestOutcomeDistribution:
         with pytest.raises(InvalidInputError, match="non-finite"):
             OutcomeDistribution(2, np.array([0.5, 0.5, bad, 0.0]))
 
+    @pytest.mark.parametrize(
+        "dim, probs", [(-1, [1.0]), (0, []), (2.0, [0.25] * 4), ("2", [0.25] * 4)],
+        ids=["negative", "zero", "float", "str"],
+    )
+    def test_dim_must_be_a_positive_integer(self, dim, probs):
+        # dim = -1 would pass the length check, since (-1)^2 = 1; dim = 0 would leave no probabilities.
+        with pytest.raises(InvalidInputError, match="need dim >= 1, got "):
+            OutcomeDistribution(dim, np.array(probs))
+
 
 @pytest.mark.parametrize(
     "build, fragment",

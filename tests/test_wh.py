@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from naimark import (
+    InvalidCircuitError,
     InvalidDimensionError,
     bell_change_of_basis,
     bell_vector,
     clock_op,
+    cz_qudit_circuit,
     displacement,
     fourier,
+    full_naimark_circuit,
+    qudit_fourier_circuit,
+    qudit_z_circuit,
     shift_op,
 )
 from naimark.bell import controlled_clock, controlled_shift
@@ -25,6 +30,38 @@ def test_invalid_dimensions_rejected():
                 fn(d)
     with pytest.raises(InvalidDimensionError):
         fourier(0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: fourier(2.5), InvalidDimensionError),
+        (lambda: bell_change_of_basis(2.5), InvalidDimensionError),
+        (lambda: controlled_clock(3.5), InvalidDimensionError),
+        (lambda: displacement(3, 1.5, 0), InvalidDimensionError),
+        (lambda: displacement(3, 0, "1"), InvalidDimensionError),
+        (lambda: shift_op(2.5), InvalidDimensionError),
+        (lambda: controlled_shift(3.5), InvalidDimensionError),
+        (lambda: qudit_z_circuit(1.5), InvalidCircuitError),
+        (lambda: cz_qudit_circuit(2.0), InvalidCircuitError),
+        (lambda: qudit_fourier_circuit(2.5), InvalidCircuitError),
+        (lambda: full_naimark_circuit(np.eye(2), 1.0), InvalidCircuitError),
+    ],
+    ids=["fourier", "bell-basis", "controlled-clock", "displacement-j", "displacement-k",
+         "shift", "controlled-shift", "z-circuit", "cz-circuit", "fourier-circuit",
+         "naimark-circuit"],
+)
+def test_non_integer_dimensions_raise_package_errors(call, error):
+    # operator.index refuses a float even when it holds an integer, as GateList does.
+    with pytest.raises(error, match="got "):
+        call()
+
+
+def test_numpy_integer_dimensions_are_accepted():
+    d = np.int64(3)
+    assert np.array_equal(displacement(d, np.int64(1), np.int64(2)), displacement(3, 1, 2))
+    assert np.array_equal(controlled_clock(d), controlled_clock(3))
+    assert np.array_equal(fourier(d), fourier(3))
 
 
 def test_shift_clock_small_fixtures():

@@ -175,8 +175,9 @@ def dense_measure_probabilities(u, psi, i):
 # Closed forms of the Bell route.  The library lays U = B (I x M^T) out by B's
 # index rule and builds the controlled shift and clock from index rules; these
 # are the entrywise formula for U, the Kronecker sums of the controlled shift
-# and clock, B built from the shift's Kronecker sum, and the dense product
-# B (I x M^T), so no oracle here rests on a library index rule.
+# and clock, B built from the shift's Kronecker sum, the dense product
+# B (I x M^T) and the control/target-dual clock route, so no oracle here rests
+# on a library index rule.
 
 
 def closed_form_u(m):
@@ -214,6 +215,18 @@ def bell_product_u(m):
     """U = B (I x M^T) as a dense product, B from shift_decomposition."""
     d = m.shape[0]
     return shift_decomposition(d) @ np.kron(np.eye(d), m.T)
+
+
+def clock_decomposition(m):
+    """Control/target-dual form U = (F^dag x F^dag)(sum_j |j><j| x Z^{-j})(F x M^T), in
+    O(d^4 log d): F x M^T as a (d, d, d, d) broadcast, the clock phases w^{-jl} on its row
+    pair, then F^dag x F^dag as one unitary 2-D FFT over that pair.  F and the phases are
+    exponentials of reduced exponents (exp_omega_table), not the library's table."""
+    d = m.shape[0]
+    w = exp_omega_table(d)
+    rot = (w / np.sqrt(d))[:, None, :, None] * m.T[None, :, None, :]
+    rot *= w.conj()[:, :, None, None]
+    return np.fft.fft2(rot, axes=(0, 1), norm="ortho").reshape(d * d, d * d)
 
 
 # Loop oracles for the block layer.  The library lays U out through one
