@@ -252,6 +252,7 @@ def qudit_z_circuit(n: int) -> GateList:
 
 def qcz_circuit(n: int, control_wire: int, target_wires: tuple[int, ...] | list[int]) -> GateList:
     """Qubit-controlled qudit clock: Z on the n target wires iff control is |1>."""
+    n = wh._require_int(n, 1, "need n >= 1 qubits", InvalidCircuitError)
     targets = list(target_wires)
     if len(targets) != n:
         raise InvalidCircuitError(f"expected {n} target wires, got {targets}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -65,9 +67,17 @@ def _emit(obj: dict, out: str | None) -> None:
     except ValueError:
         raise NumericalFailureError("result has non-finite values (NaN or Inf)") from None
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        try:  # In place, no O_TRUNC: freeing a file's blocks can wait for a discard (README).
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+            end = 0  # a failed write leaves no bytes of the old document
+            try:
+                with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                    print(text, file=fh)
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a FIFO
+                    os.ftruncate(fd, end)
+                os.close(fd)
         except OSError as exc:
             raise ParseError(f"cannot write output file: {exc}") from exc
     else:

@@ -117,10 +117,8 @@ def measure_probabilities(
 
 def sample(dist: OutcomeDistribution, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per (j, k); deterministic for a fixed seed."""
-    if not (hasattr(type(n_shots), "__index__") and 1 <= n_shots <= 2**63 - 1):  # int64 counts
-        raise InvalidInputError(f"need 1 <= shots <= 2**63 - 1, got {n_shots!r}")
-    if not (hasattr(type(seed), "__index__") and seed >= 0):  # what operator.index takes
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    n_shots = _require_int(n_shots, 1, "need 1 <= shots <= 2**63 - 1", InvalidInputError, 2**63 - 1)
+    seed = _require_int(seed, 0, "seed must be a non-negative integer", InvalidInputError)
     rng = np.random.default_rng(seed)
     p = dist.probs / dist.probs.sum()
     return rng.multinomial(n_shots, p)

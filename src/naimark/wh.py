@@ -64,18 +64,17 @@ def require_normalized(ket: np.ndarray, what: str) -> np.ndarray:
 
 def require_index(i: int, d: int) -> int:
     """Return an embedding index as an int; reject a non-integer or one outside 0 <= i < d."""
-    if not hasattr(type(i), "__index__"):  # what operator.index takes
-        raise InvalidInputError(f"embedding index must be an integer, got {i!r}")
+    i = _require_int(i, -math.inf, "embedding index must be an integer", InvalidInputError)
     if not 0 <= i < d:
         raise InvalidInputError(f"embedding index {i} out of range for d={d}")
-    return operator.index(i)
+    return i
 
 
-def _require_int(x, least: int | float, what: str, error: type = InvalidDimensionError) -> int:
-    """operator.index(x), which refuses floats and strings, if it is >= least; else
-    error(f"{what}, got {x!r}"), `what` stating the bound."""
+def _require_int(x, least, what: str, error: type = InvalidDimensionError, most=math.inf) -> int:
+    """operator.index(x), which refuses floats, strings and 0-d float arrays, if
+    least <= it <= most; else error(f"{what}, got {x!r}"), `what` stating the bounds."""
     try:
-        if operator.index(x) >= least:
+        if least <= operator.index(x) <= most:
             return operator.index(x)
     except TypeError:
         pass

@@ -238,13 +238,16 @@ class TestFullNaimarkCircuit:
         (lambda: GateList("2", ()), InvalidCircuitError, "n_qubits must be an integer, got '2'"),
         (lambda: qudit_z_circuit(0), InvalidCircuitError, "need n >= 1 qubits, got 0"),
         (lambda: qcz_circuit(2, 0, (1,)), InvalidCircuitError, "expected 2 target wires, got [1]"),
+        (lambda: qcz_circuit(1.0, 0, [1]), InvalidCircuitError, "need n >= 1 qubits, got 1.0"),
+        (lambda: qcz_circuit(0, 0, []), InvalidCircuitError, "need n >= 1 qubits, got 0"),
         (lambda: cz_qudit_circuit(0), InvalidCircuitError, "need n >= 1 qubits per register, got 0"),
         (lambda: qudit_fourier_circuit(0), InvalidCircuitError, "need n >= 1 qubits, got 0"),
         (lambda: full_naimark_circuit(catalog_m("hesse"), 1), InvalidInputError,
          "completion matrix is 3x3; qubit synthesis needs d = 2**n = 2"),
     ],
     ids=["k-on-H", "U-without-matrix", "U-on-no-wires", "phase-of-H", "no-qubits", "float-qubits",
-         "str-qubits", "z-n0", "qcz-targets", "cz-n0", "fourier-n0", "naimark-m-not-2n"],
+         "str-qubits", "z-n0", "qcz-targets", "qcz-float-n", "qcz-n0", "cz-n0", "fourier-n0",
+         "naimark-m-not-2n"],
 )
 def test_circuit_guards(build, error, fragment):
     with pytest.raises(error) as info:

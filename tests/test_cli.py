@@ -1,6 +1,8 @@
 """End-to-end exercises of the command-line interface."""
 
 import ast
+import errno
+import io
 import json
 import os
 import subprocess
@@ -471,6 +473,84 @@ def test_an_unwritable_out_exits_3(capsys, tmp_path, argv, target):
     assert (rc, stdout) == (3, "")
     assert err.startswith("error: cannot write output file: ")
     assert err.count("\n") == 1
+
+
+# --out rewrites an existing file in place, without O_TRUNC, and cuts it to the new length.
+@pytest.mark.parametrize("extra", [4096, -100], ids=["longer", "shorter"])
+def test_out_overwrites_an_existing_file_with_exactly_the_stdout_bytes(capsys, tmp_path, extra):
+    rc, printed, _ = run(capsys, "build", "--catalog", "hesse")
+    assert rc == 0
+    path = tmp_path / "u.json"
+    path.write_bytes(b"x" * (len(printed.encode()) + extra))
+    assert run(capsys, "build", "--catalog", "hesse", "--out", str(path))[:2] == (0, "")
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+def test_out_keeps_the_inode_and_mode_of_an_existing_file(capsys, tmp_path):
+    path, link = tmp_path / "u.json", tmp_path / "link.json"
+    path.write_text("x" * 100_000)
+    path.chmod(0o600)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    assert run(capsys, "build", "--catalog", "hesse", "--out", str(path))[0] == 0
+    assert (path.stat().st_ino, path.stat().st_mode & 0o777) == (inode, 0o600)
+    printed = run(capsys, "build", "--catalog", "hesse")[1]
+    assert link.read_bytes() == path.read_bytes() == printed.encode("utf-8")
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(capsys, tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    path = tmp_path / "new.json"
+    assert run(capsys, "catalog", "--out", str(path))[0] == 0
+    assert path.stat().st_mode == reference.stat().st_mode
+
+
+class _HalfThenFail(io.TextIOWrapper):
+    """A text file whose first write puts half of its text on disk and then raises."""
+
+    error: BaseException
+
+    def write(self, s):
+        super().write(s[: len(s) // 2])
+        self.flush()
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   KeyboardInterrupt()], ids=["ENOSPC", "KeyboardInterrupt"])
+def test_an_interrupted_write_leaves_no_bytes_of_the_old_file(capsys, tmp_path, monkeypatch, error):
+    path = tmp_path / "u.json"
+    path.write_bytes(b"previous output\n" * 20_000)  # longer than the new document
+    monkeypatch.setattr(_HalfThenFail, "error", error, raising=False)
+    monkeypatch.setattr("naimark.cli.open", lambda fd, mode, encoding, closefd: _HalfThenFail(
+        io.FileIO(fd, "w", closefd=closefd), encoding=encoding), raising=False)
+    if isinstance(error, OSError):
+        rc, out, err = run(capsys, "build", "--catalog", "hesse", "--out", str(path))
+        assert (rc, out) == (3, "") and "No space left on device" in err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["build", "--catalog", "hesse", "--out", str(path)])
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_to_the_null_device_exits_0(capsys):
+    assert run(capsys, "build", "--catalog", "hesse", "--out", os.devnull)[:2] == (0, "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build", "--ket", "[1, 1]"], 2),
+    (["simulate", "--catalog", "qubit-sic", "--state", "[1, 0]", "--index", "5"], 2),
+    (["verify", "--u", "missing.json"], 3),
+    (["circuit", "naimark", "--n", "1", "--m", ""], 3),
+], ids=["build-unnormalized", "simulate-index", "verify-missing", "circuit-no-m"])
+def test_a_failing_command_leaves_an_existing_out_file_as_it_was(capsys, tmp_path, argv, code):
+    path = tmp_path / "u.json"
+    path.write_bytes(b"previous output\n" * 1000)
+    assert run(capsys, *argv, "--out", str(path))[:2] == (code, "")
+    assert path.read_bytes() == b"previous output\n" * 1000
 
 
 def test_circuit_naimark_wrong_dimension(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Embedding, outcome distributions, sampling, and linear-inversion tomography."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -217,22 +219,24 @@ class TestSampling:
         assert sample(dist, 2**63 - 1, seed=1).sum() == 2**63 - 1
         assert np.array_equal(sample(dist, np.int64(2), 1), sample(dist, 2, 1))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", np.array(1.5), np.array(2.0)])
     def test_seed_validated(self, seed):
-        # numpy would raise its own ValueError for -1 and a TypeError for 1.5.
+        # numpy would raise its own ValueError for -1 and a TypeError for 1.5.  Every ndarray's
+        # type has __index__, but operator.index refuses a 0-d float array.
         dist = OutcomeDistribution(2, np.full(4, 0.25))
-        with pytest.raises(InvalidInputError, match=f"seed must be a non-negative integer, got {seed}"):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
             sample(dist, 5, seed)
 
     def test_numpy_integer_seed_is_the_same_seed(self):
         dist = OutcomeDistribution(2, np.full(4, 0.25))
         assert np.array_equal(sample(dist, 1000, np.int64(7)), sample(dist, 1000, 7))
 
-    @pytest.mark.parametrize("shots", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("shots", [2.5, 2.0, "2", np.array(2.5), np.array(2.0)])
     def test_non_integer_shots_rejected(self, shots):
         # numpy's multinomial would draw int(2.5) = 2 shots.
         dist = OutcomeDistribution(2, np.full(4, 0.25))
-        with pytest.raises(InvalidInputError, match=f"shots <= 2\\*\\*63 - 1, got {shots!r}"):
+        with pytest.raises(InvalidInputError, match=re.escape(f"shots <= 2**63 - 1, got {shots!r}")):
             sample(dist, shots, seed=1)
 
 
@@ -245,10 +249,18 @@ INDEXED = {
 
 
 @pytest.mark.parametrize("caller", INDEXED)
-@pytest.mark.parametrize("index", [1.5, 1.0, "1", np.float64(2.0), None])
+@pytest.mark.parametrize("index", [1.5, 1.0, "1", np.float64(2.0), None, np.array(0.5), np.array(1.0)])
 def test_a_non_integer_embedding_index_is_invalid_input(caller, index):
-    with pytest.raises(InvalidInputError, match="embedding index must be an integer"):
+    message = f"embedding index must be an integer, got {index!r}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         INDEXED[caller](catalog_m("hesse"), index)
+
+
+def test_0d_integer_arrays_are_integers():
+    dist, m = OutcomeDistribution(2, np.full(4, 0.25)), catalog_m("hesse")
+    assert np.array_equal(sample(dist, np.array(10), np.array(3)), sample(dist, 10, 3))
+    for call in INDEXED.values():
+        assert np.array_equal(call(m, np.array(1)), call(m, 1))
 
 
 @pytest.mark.parametrize("caller", INDEXED)
