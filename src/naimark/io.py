@@ -23,11 +23,13 @@ their objects.  A 1-d or 2-d float64 array is written in bulk: each distinct bit
 pattern is formatted once by `float.__repr__` and the rows are gathered from
 those strings.  That pays because U is block circulant: every block row is the
 first one rolled, so its d**4 entries hold at most d**3 distinct values.  Lists
-and tuples are written item by item.
+and tuples are written item by item.  The reader, too, converts each distinct
+number text once, and gives json.load's values bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import chain
 
@@ -164,7 +166,7 @@ def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     must be d x d and a "U" d**2 x d**2; M is checked first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=functools.cache(float))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, long ints
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     bundle = isinstance(obj, dict) and "re" not in obj

@@ -7,10 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naimark import (
     OutcomeDistribution,
@@ -861,7 +864,9 @@ def test_verify_parses_a_shared_bundle_once(capsys, monkeypatch, tmp_path):
     expected = run(capsys, "verify", "--u", str(path), "--m", str(copy))
     loads = []
     real_load = naimark.io.json.load
-    monkeypatch.setattr(naimark.io.json, "load", lambda fh: loads.append(fh.name) or real_load(fh))
+    monkeypatch.setattr(
+        naimark.io.json, "load", lambda fh, **kw: loads.append(fh.name) or real_load(fh, **kw)
+    )
     assert run(capsys, "verify", "--u", str(path), "--m", str(path)) == expected
     assert loads == [str(path)]
 
@@ -955,3 +960,93 @@ def test_an_undecodable_file_exits_3_without_traceback(tmp_path, content):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: cannot read matrix file ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+# Faults of a matrix file.  Each makes the file malformed for every command that reads it,
+# so each exits 3.  BAD_ENTRIES replace one number of re or im; the last two are ints, one
+# too large for a float and one too long for json (over 4,300 digits).
+BAD_ENTRIES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "true", "null", '"1.5"',
+               "[1.0]", "[]", "{}", "1" + "0" * 400, "1" + "0" * 5000]
+BAD_ROWS = ["drop an entry", "add an entry", "drop the row", "add a row", "a number", "a string"]
+BAD_CLAIMS = [-2, 0, 1, 3, 5, 2.0, True, "2", None]  # each a wrong d, rows or cols for both M and U
+
+
+@st.composite
+def broken_matrix(draw, obj):
+    """obj with one bad entry, a ragged or missing row, or a d, rows or cols the data contradicts;
+    as JSON text."""
+    obj = json.loads(json.dumps(obj))
+    kind = draw(st.sampled_from(["entry", "row", "claim"]))
+    if kind == "claim":
+        obj[draw(st.sampled_from(["d", "rows", "cols"]))] = draw(st.sampled_from(BAD_CLAIMS))
+        return json.dumps(obj)
+    rows = obj[draw(st.sampled_from(["re", "im"]))]
+    r = draw(st.integers(0, len(rows) - 1))
+    if kind == "entry":
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] = "@bad@"
+        return json.dumps(obj).replace('"@bad@"', draw(st.sampled_from(BAD_ENTRIES)))
+    fault = draw(st.sampled_from(BAD_ROWS))
+    if fault == "drop an entry":
+        del rows[r][0]
+    elif fault == "add an entry":
+        rows[r].append(0.5)
+    elif fault == "drop the row":
+        del rows[r]
+    elif fault == "add a row":
+        rows.append(list(rows[r]))
+    else:
+        rows[r] = 0.5 if fault == "a number" else "ab"
+    return json.dumps(obj)
+
+
+@st.composite
+def broken_file(draw, text):
+    """The bytes of a matrix file, as text or with a whole-file fault: cut short, a byte
+    that is not UTF-8, or a top level that is not an object."""
+    kind = draw(st.sampled_from(["as is", "cut", "not utf-8", "not an object"]))
+    data = text.encode()
+    if kind == "cut":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    if kind == "not an object":
+        return draw(st.sampled_from([b"[1]", b"1", b"null", b'"U"', b"[]", b""]))
+    return data
+
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+GOOD_M = json.loads(dumps(matrix_to_obj(HADAMARD, 2)))
+GOOD_U = json.loads(dumps(matrix_to_obj(build_block_naimark(HADAMARD).U, 2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    role=st.sampled_from(["verify --u", "verify bundle", "verify --m", "circuit naimark --m"]),
+    data=st.data(),
+)
+def test_a_malformed_matrix_file_exits_3_with_one_error_line(tmp_path_factory, role, data):
+    folder = tmp_path_factory.mktemp("fuzz")
+    bad, good = folder / "bad.json", folder / "good.json"
+    good.write_text(json.dumps(GOOD_U))
+    if role == "verify bundle":  # one file for both flags, one of its entries broken
+        key = data.draw(st.sampled_from(["U", "M"]))
+        entries = {"M": json.dumps(GOOD_M), "U": json.dumps(GOOD_U)}
+        entries[key] = data.draw(broken_matrix(GOOD_M if key == "M" else GOOD_U))
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in entries.items()) + "}"
+        argv = ["verify", "--u", str(bad), "--m", str(bad)]
+    else:
+        text = data.draw(broken_matrix(GOOD_U if role == "verify --u" else GOOD_M))
+        argv = {
+            "verify --u": ["verify", "--u", str(bad)],
+            "verify --m": ["verify", "--u", str(good), "--m", str(bad)],
+            "circuit naimark --m": ["circuit", "naimark", "--n", "1", "--m", str(bad)],
+        }[role]
+    bad.write_bytes(data.draw(broken_file(text)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)  # an exception escaping main fails the test with its traceback
+    assert rc == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert err.getvalue().endswith("\n")

@@ -1,6 +1,7 @@
 """JSON round trips for matrices, the circuit writer, and outcome data."""
 
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from naimark.io import (
 )
 from naimark.wh import max_abs
 
-from util import rand_unitary
+from util import plain_json_parts, rand_unitary
 
 
 def test_matrix_round_trip_bit_identical(tmp_path):
@@ -205,3 +206,89 @@ def test_non_finite_matrix_entries_rejected(tmp_path, bad, part):
     path.write_text(json.dumps(obj))  # Python writes NaN / Infinity tokens
     with pytest.raises(ParseError, match="non-finite"):
         load_matrices(str(path), "U")
+
+
+def number_texts(x):
+    """JSON texts of the float x: its repr, upper-cased, 18 and 25 significant digits, and an
+    integer mantissa with a shifted exponent; an integral x adds 1, 1.00, 10e-1, 1E0 alike."""
+    texts = [repr(x), repr(x).upper(), "%.17e" % x, "%.25g" % x]
+    if x != 0:  # a zero mantissa would be written with leading zeros, which JSON refuses
+        mantissa, exp = ("%.16e" % x).split("e")
+        texts.append(f"{mantissa.replace('.', '')}e{int(exp) - 16}")
+    if x == int(x) and abs(x) < 2**53:  # "-0" is an int text: json gives 0, not -0.0
+        texts += ["%.0f" % x, "%.2f" % x, ("%.0f0e-1" if x else "%.0fe-1") % x, "%.0fE0" % x]
+    return texts
+
+
+def matrix_text(d, re, im):
+    """A matrix object written by hand from rows of number texts."""
+
+    def rows(texts):
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in texts) + "]"
+
+    shape = f'"rows": {len(re)}, "cols": {len(re[0])}'
+    return f'{{"d": {d}, {shape}, "re": {rows(re)}, "im": {rows(im)}}}'
+
+
+# Repeated values, signed zeros, subnormals and the largest finite exponents.
+reader_values = st.one_of(
+    finite_floats,
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1e300, -1.5e-300, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+# Zeros of both signs, each first in one part, and one value in several spellings.
+SPELLINGS = [
+    ["0.0", "-0.0", "0", "-0", "0e0", "-0E-5"],
+    ["1", "1.0", "1.00", "10e-1", "1E0", "5e-324"],
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    pool=st.lists(reader_values, min_size=1, max_size=4),
+    shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=2),
+    bundle=st.booleans(),
+)
+@example(data=None, pool=[], shapes=[(2, 6), (2, 6)], bundle=True)
+def test_load_matrices_gives_json_loads_bits(tmp_path_factory, data, pool, shapes, bundle):
+    parts = iter([SPELLINGS, [row[::-1] for row in SPELLINGS]] * 2)
+
+    def texts(rows, cols):  # entries from a small pool, each in a drawn spelling
+        if data is None:
+            return next(parts)
+        picks = st.tuples(st.sampled_from(pool), st.integers(0, 8))
+        drawn = data.draw(st.lists(picks, min_size=rows * cols, max_size=rows * cols))
+        spelled = [number_texts(x)[k % len(number_texts(x))] for x, k in drawn]
+        return [spelled[r * cols : (r + 1) * cols] for r in range(rows)]
+
+    objs = [matrix_text(3, texts(*shape), texts(*shape)) for shape in shapes]
+    keys = [f"K{i}" for i in range(len(objs))] if bundle else ["K0"]
+    text = "{" + ", ".join(f'"{k}": {o}' for k, o in zip(keys, objs)) + "}" if bundle else objs[0]
+    path = tmp_path_factory.mktemp("bits") / "m.json"
+    path.write_text(text)
+    oracle = plain_json_parts(str(path), *keys)
+    for (a, d), (re, im) in zip(load_matrices(str(path), *keys), oracle, strict=True):
+        assert d == 3
+        assert np.array_equal(a.real.view(np.int64), re.view(np.int64))
+        assert np.array_equal(a.imag.view(np.int64), im.view(np.int64))
+
+
+def test_a_repeated_number_text_is_converted_once(tmp_path, monkeypatch):
+    import naimark.io
+
+    path = tmp_path / "m.json"
+    re, im = [["0.1", "0.1"], ["0.0", "-0.0"]], [["-0.0", "0.1"], ["0.1", "0.0"]]
+    path.write_text(matrix_text(2, re, im))
+    parsed = []
+    real_load = naimark.io.json.load
+    monkeypatch.setattr(
+        naimark.io.json, "load", lambda fh, **kw: parsed.append(real_load(fh, **kw)) or parsed[-1]
+    )
+    [(a, _)] = load_matrices(str(path), "A")
+    assert a[0, 0] == 0.1 + 0j and np.signbit(a[1, 1].real) and not np.signbit(a[1, 0].real)
+    # A conversion makes a new float: one object per distinct text means one conversion each.
+    entries = list(chain(*parsed[0]["re"], *parsed[0]["im"]))
+    assert len(entries) == 8 and len({id(x) for x in entries}) == 3

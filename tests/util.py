@@ -1,5 +1,7 @@
 """Shared randomness helpers, dense oracles and expected-matrix fixtures for the test suite."""
 
+import json
+
 import numpy as np
 
 from naimark.fiducials import wh_orbit
@@ -455,3 +457,16 @@ def expected_ququart_diag_blocks():
         [[-a, -1, 1, 1], [1, -1, a, -1], [a, 1, -1, -1], [1, -1, a, -1]],
     )
     return [u0, u1, u2, u3]
+
+
+# Plain-parse oracle for the matrix reader.  The library converts each distinct number
+# text of a file once; this converts every text, by json.load's defaults, as it once did.
+
+
+def plain_json_parts(path, *keys):
+    """The (re, im) float64 arrays of each key's matrix (a bundle's entry, else the file's
+    one matrix), from a plain json.load and np.asarray."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mats = [obj if "re" in obj else obj[k] for k in keys]
+    return [(np.asarray(m["re"], dtype=float), np.asarray(m["im"], dtype=float)) for m in mats]
