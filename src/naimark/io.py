@@ -23,13 +23,12 @@ their objects.  A 1-d or 2-d float64 array is written in bulk: each distinct bit
 pattern is formatted once by `float.__repr__` and the rows are gathered from
 those strings.  That pays because U is block circulant: every block row is the
 first one rolled, so its d**4 entries hold at most d**3 distinct values.  Lists
-and tuples are written item by item.  The reader, too, converts each distinct
-number text once, and gives json.load's values bit for bit.
+and tuples are written item by item.  The reader converts each distinct number
+text once (up to a cap, see `_parse`) and gives json.load's values bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from itertools import chain
 
@@ -160,13 +159,40 @@ def obj_to_matrix(obj: dict) -> tuple[np.ndarray, int]:
     return a, d
 
 
+class _Memo(dict):
+    """json's parse_float: float(text) once per distinct number text, up to `cap` texts."""
+
+    class Full(Exception):
+        pass
+
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    def __missing__(self, text: str) -> float:
+        if len(self) >= self.cap:
+            raise _Memo.Full
+        value = self[text] = float(text)
+        return value
+
+
+def _parse(text: str):
+    """json.loads(text), converting each distinct number text once while there are at most
+    1,024 plus one per 512 characters (one number in 16 of an indented matrix file); a file
+    with more is parsed again without the memo, which would otherwise grow with the file."""
+    try:
+        return json.loads(text, parse_float=_Memo(1024 + len(text) // 512).__getitem__)
+    except _Memo.Full:
+        pass  # leaving the handler frees the memo before the second parse
+    return json.loads(text)
+
+
 def load_matrices(path: str, *keys: str) -> list[tuple[np.ndarray, int]]:
     """Read a matrix file once and take one matrix per key: a bundle's `key` entry
     (as in build output) or a plain file's matrix.  For its file's d >= 1, an "M"
     must be d x d and a "U" d**2 x d**2; M is checked first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_float=functools.cache(float))
+            obj = _parse(fh.read())
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, long ints
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     bundle = isinstance(obj, dict) and "re" not in obj

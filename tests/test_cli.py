@@ -863,12 +863,12 @@ def test_verify_parses_a_shared_bundle_once(capsys, monkeypatch, tmp_path):
     copy.write_text(path.read_text())
     expected = run(capsys, "verify", "--u", str(path), "--m", str(copy))
     loads = []
-    real_load = naimark.io.json.load
+    real_loads = naimark.io.json.loads
     monkeypatch.setattr(
-        naimark.io.json, "load", lambda fh, **kw: loads.append(fh.name) or real_load(fh, **kw)
+        naimark.io.json, "loads", lambda s, **kw: loads.append(s) or real_loads(s, **kw)
     )
     assert run(capsys, "verify", "--u", str(path), "--m", str(path)) == expected
-    assert loads == [str(path)]
+    assert loads == [path.read_text()]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naimark import Gate, GateList, ParseError, expand
+from naimark import Gate, GateList, ParseError, build_block_naimark, expand
 from naimark.io import (
     distribution_to_obj,
     dumps,
@@ -283,12 +283,54 @@ def test_a_repeated_number_text_is_converted_once(tmp_path, monkeypatch):
     re, im = [["0.1", "0.1"], ["0.0", "-0.0"]], [["-0.0", "0.1"], ["0.1", "0.0"]]
     path.write_text(matrix_text(2, re, im))
     parsed = []
-    real_load = naimark.io.json.load
+    real_loads = naimark.io.json.loads
     monkeypatch.setattr(
-        naimark.io.json, "load", lambda fh, **kw: parsed.append(real_load(fh, **kw)) or parsed[-1]
+        naimark.io.json, "loads", lambda s, **kw: parsed.append(real_loads(s, **kw)) or parsed[-1]
     )
     [(a, _)] = load_matrices(str(path), "A")
     assert a[0, 0] == 0.1 + 0j and np.signbit(a[1, 1].real) and not np.signbit(a[1, 0].real)
     # A conversion makes a new float: one object per distinct text means one conversion each.
     entries = list(chain(*parsed[0]["re"], *parsed[0]["im"]))
     assert len(entries) == 8 and len({id(x) for x in entries}) == 3
+
+
+def spy_loads(monkeypatch):
+    """The keyword arguments of each json.loads call the reader makes, in order."""
+    import naimark.io
+
+    calls, real_loads = [], naimark.io.json.loads
+    monkeypatch.setattr(
+        naimark.io.json, "loads", lambda s, **kw: calls.append(kw) or real_loads(s, **kw)
+    )
+    return calls
+
+
+def test_a_block_circulant_u_at_d16_is_parsed_once_through_the_memo(tmp_path, monkeypatch):
+    # U's d**4 entries hold at most d**3 distinct values; this 4 MB bundle of a Haar M holds
+    # 4,986 distinct number texts, under the memo's cap of 8,754.
+    m = rand_unitary(16, np.random.default_rng(16))
+    path = tmp_path / "b.json"
+    bundle = {"U": matrix_to_obj(build_block_naimark(m).U, 16), "M": matrix_to_obj(m, 16)}
+    path.write_text(dumps(bundle))
+    calls = spy_loads(monkeypatch)
+    (u, _), (a, _) = load_matrices(str(path), "U", "M")
+    memo = calls[0]["parse_float"].__self__
+    assert len(calls) == 1 and len(memo) < memo.cap
+    for got, (re, im) in zip((u, a), plain_json_parts(str(path), "U", "M"), strict=True):
+        assert np.array_equal(got.real.view(np.int64), re.view(np.int64))
+        assert np.array_equal(got.imag.view(np.int64), im.view(np.int64))
+
+
+def test_a_file_of_distinct_numbers_is_parsed_again_without_the_memo(tmp_path, monkeypatch):
+    # 4,608 distinct texts in 129 kB, past the cap of 1,274 (1,024 plus one per 512 characters):
+    # the memo stops at its cap and a plain parse gives the values, so memory stays bounded.
+    path = tmp_path / "m.json"
+    path.write_text(dumps(matrix_to_obj(rand_unitary(48, np.random.default_rng(48)), 48)))
+    calls = spy_loads(monkeypatch)
+    [(a, _)] = load_matrices(str(path), "A")
+    memo = calls[0]["parse_float"].__self__
+    assert memo.cap == 1024 + len(path.read_text()) // 512 and len(memo) == memo.cap
+    assert calls[1:] == [{}]
+    [(re, im)] = plain_json_parts(str(path), "A")
+    assert np.array_equal(a.real.view(np.int64), re.view(np.int64))
+    assert np.array_equal(a.imag.view(np.int64), im.view(np.int64))
